@@ -1,12 +1,12 @@
-"""Numpy fallback for the compiled subset-scan kernels.
-
-The addition order in subset_sums (bit b added after all lower bits) matches
-the compiled backend, so both produce bitwise identical output.
-"""
+"""Numpy kernels for the exhaustive l^p subset scan over all 2^n bitmasks."""
 import numpy as np
+
+BACKEND = "python"  # the only backend; perfbench/worker.py records it
 
 
 def subset_sums(vals):
+    """Sums of vals over all bitmask subsets; entry m = sum of vals[b] for bits b
+    of m, with bit b added after all lower bits."""
     vals = np.ascontiguousarray(vals, dtype=np.float64)
     n = len(vals)
     if n > 26:
@@ -21,6 +21,7 @@ def subset_sums(vals):
 
 
 def extrema_by_popcount(sums, n):
+    """Min and max of sums[m] grouped by popcount(m), for masks over n bits."""
     sums = np.asarray(sums, dtype=np.float64)
     if sums.shape[0] != (1 << n):
         raise ValueError("sums length must be 2**n")

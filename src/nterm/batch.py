@@ -13,6 +13,7 @@ log-robust scalar path instead.
 from __future__ import annotations
 
 import math
+from itertools import combinations, islice
 
 import numpy as np
 
@@ -20,6 +21,10 @@ from .errors import NumericError
 from .indices import canonical_key
 from .sequences import Sequence
 from .spaces import LN2, SpaceSpec, square_function
+
+# subset rows per block of an exhaustive scan; it bounds the mask matrix, and the
+# block shape fixes the matmul batch shapes, so changing it can move results by an ulp
+MASK_CHUNK = 1 << 16
 
 
 class BatchNorm:
@@ -44,6 +49,35 @@ class BatchNorm:
         for idx in subset:
             mask[0, self.pos[idx]] = 1.0
         return float(self.norms(mask)[0])
+
+    def subset_norms(self, cols, kept, complement=False):
+        """Norms of the subsets given as equal-length rows of positions into
+        the column map cols, or of their complements."""
+        kept = np.asarray(kept, dtype=np.intp)
+        m = kept.shape[0]
+        masks = np.full((m, len(self.indices)), float(complement))
+        rows = np.repeat(np.arange(m), kept.shape[1])
+        masks[rows, cols[kept.reshape(-1)]] = float(not complement)
+        return self.norms(masks)
+
+    def subset_extrema(self, cols, N, complement=False):
+        """Exhaustive min and max of subset_norms over every N-subset of the
+        positions 0..len(cols)-1, scanned in blocks of MASK_CHUNK.
+
+        Returns (min, max, argmin, argmax); the arg tuples are the first
+        extremizers in combination order. A block holding a NaN never replaces
+        the running extrema (its argmin and argmax land on the NaN), so a scan
+        with a NaN in every block returns (inf, -inf, None, None)."""
+        lo, hi, arg_lo, arg_hi = math.inf, -math.inf, None, None
+        it = combinations(range(len(cols)), N)
+        while block := list(islice(it, MASK_CHUNK)):
+            out = self.subset_norms(cols, block, complement)
+            i, j = int(np.argmin(out)), int(np.argmax(out))
+            if out[i] < lo:
+                lo, arg_lo = float(out[i]), block[i]
+            if out[j] > hi:
+                hi, arg_hi = float(out[j]), block[j]
+        return lo, hi, arg_lo, arg_hi
 
 
 def _check_finite(*arrays):

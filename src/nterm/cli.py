@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Commands: norm, profile, aspace, democracy, experiment. Global flags --seed,
---threads, --out-dir, --format. Every run emits a manifest (parameters, seed,
-versions, input hashes, outputs, wall time); rerunning a manifest's command
-reproduces byte-identical CSV output. Exit codes: 0 ok, 2 parse error,
+--out-dir, --format. Every run emits a manifest (parameters, seed, versions,
+input hashes, outputs, wall time); rerunning a manifest's command reproduces
+byte-identical CSV output. Exit codes: 0 ok, 2 parse error,
 3 feasibility/cap, 4 numeric failure.
 """
 from __future__ import annotations
@@ -168,7 +168,6 @@ class Run:
             "command": self.command,
             "params": self.params,
             "seed": self.args.seed,
-            "threads": self.args.threads,
             "versions": {
                 "python": sys.version.split()[0],
                 "numpy": np.__version__,
@@ -224,7 +223,7 @@ def cmd_profile(args, run):
     run.params = {"space": args.space, "sequence": args.sequence,
                   "kind": args.kind, "n_max": args.n_max, "method": args.method}
     prof = (
-        sigma_profile(seq, spec, method=args.method, threads=args.threads)
+        sigma_profile(seq, spec, method=args.method)
         if args.kind == "sigma"
         else gamma_profile(seq, spec)
     )
@@ -426,7 +425,6 @@ def cmd_experiment(args, run):
 def build_parser():
     ap = argparse.ArgumentParser(prog="nterm", description=__doc__)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--out-dir", default="")
     ap.add_argument("--format", choices=("csv", "json"), default="csv")
     sub = ap.add_subparsers(dest="cmd", required=True)

@@ -6,13 +6,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations, islice
+from itertools import combinations
 
 import numpy as np
 
 from .batch import batch_evaluator
-from .errors import FeasibilityError, ParseError
-from .greedy import MASK_CHUNK, aspace_norm
+from .errors import FeasibilityError, NumericError, ParseError
+from .greedy import aspace_norm
 from .indices import Cube, Rect, interval
 from .sequences import indicator
 from .spaces import SpaceSpec, ambient_norm, element_norm
@@ -214,11 +214,11 @@ def h_structured(spec, N, family, level=None):
     return normalized_indicator_norm(spec, structured_family(spec, N, family, level))
 
 
-def h_exhaustive(spec, universe: Universe, N, cap=EXHAUSTIVE_CAP, threads=1):
+def h_exhaustive(spec, universe: Universe, N, cap=EXHAUSTIVE_CAP):
     """Exact min/max of the normalized indicator norm over all size-N subsets.
 
-    Returns (h_ell, h_r, argmin set, argmax set). Subset chunks evaluate in
-    parallel when threads > 1; the min/max reduction is order-independent.
+    Returns (h_ell, h_r, argmin set, argmax set); the argument sets are the
+    first extremizers in the universe's combination order.
     """
     count = math.comb(len(universe), N)
     if count > cap:
@@ -230,33 +230,12 @@ def h_exhaustive(spec, universe: Universe, N, cap=EXHAUSTIVE_CAP, threads=1):
     vals = [1.0 / element_norm(spec, i) for i in idx]
     ev = batch_evaluator(spec, idx, vals)
     cols = np.array([ev.pos[i] for i in idx])
-
-    def scan(block):
-        kept = np.asarray(block, dtype=np.intp)
-        masks = np.zeros((len(block), len(idx)))
-        rows = np.repeat(np.arange(len(block)), N)
-        masks[rows, cols[kept.reshape(-1)]] = 1.0
-        out = ev.norms(masks)
-        i_min, i_max = int(np.argmin(out)), int(np.argmax(out))
-        return (float(out[i_min]), block[i_min], float(out[i_max]), block[i_max])
-
-    it = combinations(range(len(idx)), N)
-    blocks = iter(lambda: list(islice(it, MASK_CHUNK)), [])
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(threads) as ex:
-            results = list(ex.map(scan, blocks))
-    else:
-        results = [scan(b) for b in blocks]
-    best_min, block_min, _, _ = min(results, key=lambda t: t[0])
-    _, _, best_max, block_max = max(results, key=lambda t: t[2])
-    return (
-        best_min,
-        best_max,
-        [idx[i] for i in block_min],
-        [idx[i] for i in block_max],
-    )
+    h_ell, h_r, arg_min, arg_max = ev.subset_extrema(cols, N)
+    if arg_min is None:  # a NaN in every block, or only inf
+        raise NumericError(
+            "exhaustive democracy scan produced non-finite norms; use the scalar path"
+        )
+    return h_ell, h_r, [idx[i] for i in arg_min], [idx[i] for i in arg_max]
 
 
 @dataclass

@@ -7,9 +7,8 @@ each basis element. For l^p-type spaces the two coordinate systems coincide.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from itertools import combinations, islice
+from itertools import combinations
 
 import numpy as np
 
@@ -23,7 +22,6 @@ from .spaces import SpaceSpec, ambient_norm, element_norm
 TIE_FAMILY_CAP = 10_000
 SUBSET_CAP = 2_000_000
 KERNEL_SUPPORT_CAP = 22
-MASK_CHUNK = 1 << 16
 
 
 def _comb(n, k):
@@ -56,31 +54,10 @@ class _Context:
             self._cols = np.array([pos[idx] for idx in self.indices])
         return self._eval
 
-    def residual_norms(self, kept_rows, threads=1):
+    def residual_norms(self, kept_rows):
         """Norms of the complements of the kept index-position rows."""
         ev = self.evaluator
-        m = len(kept_rows)
-        masks = np.ones((m, self.n))
-        if m and len(kept_rows[0]) and all(len(k) == len(kept_rows[0]) for k in kept_rows):
-            kept = np.asarray(kept_rows, dtype=np.intp)
-            rows = np.repeat(np.arange(m), kept.shape[1])
-            masks[rows, self._cols[kept.reshape(-1)]] = 0.0
-        else:
-            lens = np.fromiter((len(k) for k in kept_rows), dtype=np.intp, count=m)
-            total = int(lens.sum())
-            if total:
-                rows = np.repeat(np.arange(m), lens)
-                cols = self._cols[
-                    np.fromiter(
-                        (i for k in kept_rows for i in k), dtype=np.intp, count=total
-                    )
-                ]
-                masks[rows, cols] = 0.0
-        if threads > 1 and m > 4 * MASK_CHUNK:
-            chunks = [masks[i : i + MASK_CHUNK] for i in range(0, m, MASK_CHUNK)]
-            with ThreadPoolExecutor(threads) as ex:
-                return np.concatenate(list(ex.map(ev.norms, chunks)))
-        return ev.norms(masks)
+        return ev.subset_norms(self._cols, kept_rows, complement=True)
 
     def greedy_representatives(self, N):
         """Tie family reduced by norm-equivalence where the space is invariant
@@ -164,7 +141,7 @@ def sigma_n_upper(seq, N, spec, ctx=None):
     return ErrorValue(float(vals.min()), exact)
 
 
-def sigma_n_exact(seq, N, spec, ctx=None, cap=SUBSET_CAP, threads=1):
+def sigma_n_exact(seq, N, spec, ctx=None, cap=SUBSET_CAP):
     """Optimal N-term error by exhaustive search over all kept sets of size N."""
     ctx = ctx or _Context(seq, spec)
     if ctx.n == 0:
@@ -177,15 +154,8 @@ def sigma_n_exact(seq, N, spec, ctx=None, cap=SUBSET_CAP, threads=1):
             f"C({ctx.n},{N}) = {count} kept sets exceeds the exhaustive cap; "
             "use sigma_n_upper"
         )
-    best = math.inf
-    it = combinations(range(ctx.n), N)
-    while True:
-        block = list(islice(it, MASK_CHUNK))
-        if not block:
-            break
-        vals = ctx.residual_norms(block, threads=threads)
-        best = min(best, float(vals.min()))
-    return ErrorValue(best)
+    ev = ctx.evaluator
+    return ErrorValue(ev.subset_extrema(ctx._cols, N, complement=True)[0])
 
 
 @dataclass
@@ -218,7 +188,7 @@ def _lp_exact_sigma_all(ctx):
     return resid ** (1.0 / ctx.spec.p)
 
 
-def sigma_profile(seq, spec, method="auto", cap=SUBSET_CAP, threads=1):
+def sigma_profile(seq, spec, method="auto", cap=SUBSET_CAP):
     """Profile of optimal errors sigma_N, N = 0..|supp|.
 
     method: "exact" forces exhaustive search at every N (error beyond cap),
@@ -238,7 +208,7 @@ def sigma_profile(seq, spec, method="auto", cap=SUBSET_CAP, threads=1):
     whole_exact = 2**n <= 2 * cap
     for N in range(n):
         if method == "exact" or (method == "auto" and whole_exact):
-            vals[N] = sigma_n_exact(seq, N, spec, ctx=ctx, cap=cap, threads=threads).value
+            vals[N] = sigma_n_exact(seq, N, spec, ctx=ctx, cap=cap).value
         else:
             ev = sigma_n_upper(seq, N, spec, ctx=ctx)
             vals[N] = ev.value

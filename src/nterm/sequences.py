@@ -69,7 +69,10 @@ class Sequence:
             w = csv.writer(fh)
             w.writerow(["index", "coefficient"])
             for i in sorted(self.entries, key=canonical_key):
-                w.writerow([format_index(i), repr(self.entries[i])])
+                v = self.entries[i]
+                if isinstance(v, np.generic):  # repr would be "np.float64(...)"
+                    v = v.item()
+                w.writerow([format_index(i), repr(v)])
 
     @classmethod
     def from_csv(cls, path, kind="integer"):

@@ -3,8 +3,9 @@ with its wall time (run pytest -s to see them inline).
 
 Criterion 8 is asserted exactly as stated and is expected to fail: for that
 space and schedule the two quasi-norms provably grow at the same rate, so the
-ratio stays bounded (see the decisions ledger). The test is marked strict
-xfail so the defect stays visible without hiding a regression.
+ratio stays bounded (see the derivation in README.md, "Tests and acceptance
+suite"). The test is marked strict xfail so the defect stays visible without
+hiding a regression.
 """
 import math
 import time
@@ -162,8 +163,9 @@ def test_criterion_07_nonlinearity():
     reason="spec defect: for this space the democracy exponents give "
     "r*beta_1 - s*beta_0 = 1/2 - 2/4 = 0, so the growth hypothesis fails for "
     "every alpha > 0 and both quasi-norms scale identically; the ratio is "
-    "provably bounded (decisions ledger). The divergence is demonstrated at a "
-    "feasible configuration in test_experiments.",
+    "provably bounded (derivation in README.md, 'Tests and acceptance suite'). "
+    "The divergence is demonstrated at a feasible configuration in "
+    "test_experiments.",
 )
 def test_criterion_08_prop71_divergence():
     with report(8, "democracy-gap divergence (as specified)", 300.0):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from nterm.democracy import (
+    Universe,
     default_universe,
     democracy_profile,
     family_catalog,
@@ -13,7 +14,8 @@ from nterm.democracy import (
     property_h_check,
     structured_family,
 )
-from nterm.errors import FeasibilityError
+from nterm.errors import FeasibilityError, NumericError
+from nterm.indices import Cube
 from nterm.spaces import parse_space
 
 L2 = parse_space("lp:2")
@@ -51,6 +53,14 @@ def test_h_exhaustive_cap():
     uni = default_universe(L2, 64)
     with pytest.raises(FeasibilityError, match="structured"):
         h_exhaustive(L2, uni, 10)
+
+
+def test_h_exhaustive_nonfinite_raises():
+    # a level-gap-120 tower overflows the batch evaluator in every subset
+    spec = parse_space("lpq:2,4")
+    uni = Universe("cube", [Cube(120 * i, (0,)) for i in range(6)])
+    with np.errstate(all="ignore"), pytest.raises(NumericError, match="non-finite"):
+        h_exhaustive(spec, uni, 2)
 
 
 def test_structured_families_feasibility():

@@ -2,60 +2,27 @@ import itertools
 import math
 
 import numpy as np
-import pytest
 
-from nterm._kernels import BACKEND, _pykernels
-
-
-def _backends():
-    out = [("python", _pykernels)]
-    try:
-        from nterm._kernels import _ckernels
-
-        out.append(("cython", _ckernels))
-    except ImportError:
-        pass
-    return out
+from nterm import _kernels
 
 
-@pytest.mark.parametrize("name,mod", _backends())
-def test_subset_sums_against_direct_enumeration(name, mod, rng):
+def test_subset_sums_against_direct_enumeration(rng):
     for _ in range(20):
         n = int(rng.integers(0, 11))
         vals = rng.standard_normal(n)
-        sums = mod.subset_sums(np.ascontiguousarray(vals))
+        sums = _kernels.subset_sums(np.ascontiguousarray(vals))
         assert len(sums) == 2**n
         for mask in range(2**n):
             direct = sum(vals[b] for b in range(n) if mask >> b & 1)
             assert math.isclose(sums[mask], direct, rel_tol=1e-12, abs_tol=1e-12)
 
 
-@pytest.mark.parametrize("name,mod", _backends())
-def test_extrema_by_popcount(name, mod, rng):
+def test_extrema_by_popcount(rng):
     n = 9
     vals = rng.standard_normal(n)
-    sums = mod.subset_sums(np.ascontiguousarray(vals))
-    mins, maxs = mod.extrema_by_popcount(sums, n)
+    sums = _kernels.subset_sums(np.ascontiguousarray(vals))
+    mins, maxs = _kernels.extrema_by_popcount(sums, n)
     for k in range(n + 1):
         best = [sum(vals[list(c)]) for c in itertools.combinations(range(n), k)]
         assert math.isclose(mins[k], min(best), rel_tol=1e-12, abs_tol=1e-12)
         assert math.isclose(maxs[k], max(best), rel_tol=1e-12, abs_tol=1e-12)
-
-
-def test_backends_bitwise_identical(rng):
-    mods = dict(_backends())
-    if "cython" not in mods:
-        pytest.skip("compiled backend not built")
-    for _ in range(25):
-        n = int(rng.integers(1, 15))
-        vals = np.ascontiguousarray(rng.standard_normal(n) * 10.0 ** rng.integers(-6, 6))
-        a = mods["python"].subset_sums(vals)
-        b = mods["cython"].subset_sums(vals)
-        assert np.array_equal(a, b)
-        ma, xa = mods["python"].extrema_by_popcount(a, n)
-        mb, xb = mods["cython"].extrema_by_popcount(b, n)
-        assert np.array_equal(ma, mb) and np.array_equal(xa, xb)
-
-
-def test_backend_selected():
-    assert BACKEND in ("python", "cython")

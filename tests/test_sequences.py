@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from nterm.indices import Cube
@@ -45,6 +46,23 @@ def test_csv_round_trip(tmp_path, rng):
     s.to_csv(path)
     t = Sequence.from_csv(path, "cube")
     assert t.entries == s.entries and t.kind == "cube"
+
+
+def test_csv_round_trip_numpy_values(tmp_path):
+    path = tmp_path / "seq.csv"
+    s = Sequence.from_values(np.array([1.0, -0.55, 0.1, 3e-300]))
+    s.to_csv(path)
+    assert "np." not in path.read_text()
+    t = Sequence.from_csv(path)
+    assert t.entries == s.entries
+    Sequence.from_values(np.array([2, -1])).to_csv(path)
+    assert Sequence.from_csv(path).entries == {1: 2.0, 2: -1.0}
+
+
+def test_csv_plain_floats_unchanged(tmp_path):
+    path = tmp_path / "seq.csv"
+    Sequence.from_values([0.1, -2.5]).to_csv(path)
+    assert path.read_bytes() == b"index,coefficient\r\n1,0.1\r\n2,-2.5\r\n"
 
 
 def test_csv_header_check(tmp_path):
