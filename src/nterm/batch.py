@@ -18,9 +18,10 @@ from itertools import combinations, islice
 import numpy as np
 
 from .errors import NumericError
+from .geometry import cube_parents, rect_grid
 from .indices import canonical_key
 from .sequences import Sequence
-from .spaces import LN2, SpaceSpec, square_function
+from .spaces import LN2, SpaceSpec, bmo_weights, square_function
 
 # subset rows per block of an exhaustive scan; it bounds the mask matrix, and the
 # block shape fixes the matmul batch shapes, so changing it can move results by an ulp
@@ -105,29 +106,19 @@ def _cube_incidence(spec, indices, values, inner_r, scale_exp):
     )
     with np.errstate(over="ignore"):
         wr = np.exp(inner_r * ln_w)
+    parent = cube_parents(indices)
     im = np.zeros((len(atom_cubes), n))
-    levels = sorted({idx.j for idx in indices})
     for a, cube in enumerate(atom_cubes):
-        im[a, pos[cube]] = wr[pos[cube]]
-        for lev in (l for l in levels if l < cube.j):
-            anc = cube.ancestor(lev)
-            i = pos.get(anc)
-            if i is not None:
-                im[a, i] = wr[i]
+        i = pos[cube]
+        while i >= 0:
+            im[a, i] = wr[i]
+            i = parent[i]
     _check_finite(measures, im)
     return measures, im
 
 
 def _rect_incidence(spec, indices, values, inner_r, scale_exp):
-    breaks = []
-    d = spec.d
-    for axis in range(d):
-        pts = set()
-        for rect in indices:
-            lo, hi = rect.intervals[axis].support()[0]
-            pts.add(lo)
-            pts.add(hi)
-        breaks.append(np.array(sorted(pts)))
+    breaks, slices = rect_grid(indices)
     shape = tuple(len(b) - 1 for b in breaks)
     cells = int(np.prod(shape))
     n = len(indices)
@@ -135,23 +126,17 @@ def _rect_incidence(spec, indices, values, inner_r, scale_exp):
         raise NumericError("rectangle incidence too large for the batch engine")
     im = np.zeros((cells, n))
     meas = np.array([1.0])
-    for axis in range(d):
-        meas = np.multiply.outer(meas, np.diff(breaks[axis]))
+    for b in breaks:
+        meas = np.multiply.outer(meas, np.diff(b))
     meas = meas.reshape(-1)
     grid = np.zeros(shape)
-    for i, rect in enumerate(indices):
+    for i, (rect, sl) in enumerate(zip(indices, slices)):
         with np.errstate(over="ignore"):
             wr = float(np.exp(
                 inner_r * (scale_exp * rect.log2_measure * LN2 + math.log(abs(values[i])))
             ))
-        sl = []
-        for axis in range(d):
-            lo, hi = rect.intervals[axis].support()[0]
-            a = int(np.searchsorted(breaks[axis], lo))
-            b = int(np.searchsorted(breaks[axis], hi))
-            sl.append(slice(a, b))
         grid[...] = 0.0
-        grid[tuple(sl)] = wr
+        grid[sl] = wr
         im[:, i] = grid.reshape(-1)
     _check_finite(meas, im)
     return meas, im
@@ -264,20 +249,7 @@ def batch_evaluator(spec: SpaceSpec, indices, values) -> BatchNorm:
             return (inner**p2 @ meas) ** (1.0 / spec.p)
 
     elif spec.tag == "bmo":
-        cands = {}
-        root_level = min(iv.j for iv in indices)
-        while len({iv.ancestor(root_level) for iv in indices}) > 1:
-            root_level -= 1
-        rows = []
-        for i, iv in enumerate(indices):
-            contrib = values[i] ** spec.r * iv.measure
-            for lev in range(iv.j, root_level - 1, -1):
-                anc = iv.ancestor(lev)
-                if anc not in cands:
-                    cands[anc] = len(cands)
-                    rows.append(np.zeros(len(indices)))
-                rows[cands[anc]][i] = contrib / anc.measure
-        cmat = np.array(rows)
+        cmat = np.column_stack(list(bmo_weights(indices, [v**spec.r for v in values])))
         _check_finite(cmat)
 
         def fn(masks):

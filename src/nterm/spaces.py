@@ -20,11 +20,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
 from .errors import FeasibilityError, NumericError, ParseError
+from .geometry import cube_parents, rect_grid, virtual_tree
 from .indices import canonical_key
 from .sequences import Sequence
 
@@ -53,32 +54,11 @@ class OrliczFunction:
         self.g = g
 
     def __call__(self, u):
-        u = np.asarray(u, dtype=float)
-        out = u**self.p * np.log1p(u) ** self.g if self.g else u**self.p
-        return float(out) if out.ndim == 0 else out
+        return _powlog(u, self.p, self.g)
 
     def inverse(self, y):
-        """Phi^{-1}(y) by bisection (closed form when g = 0)."""
-        if y == 0:
-            return 0.0
-        if y < 0:
-            raise ValueError("Phi inverse needs y >= 0")
-        if self.g == 0:
-            return y ** (1.0 / self.p)
-        lo, hi = 0.0, 1.0
-        while self(hi) < y:
-            hi *= 2.0
-            if hi > 1e300:
-                raise NumericError("Phi inverse bracket overflow")
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if self(mid) < y:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= 1e-15 * hi:
-                break
-        return 0.5 * (lo + hi)
+        """Phi^{-1}(y) by bisection (closed form when g = 0), memoized on (p, g, y)."""
+        return _powlog_inverse(self.p, self.g, y)
 
     def fundamental(self, t):
         """phi(t) = 1 / Phi^{-1}(1/t), the fundamental function of the space."""
@@ -91,6 +71,36 @@ class OrliczFunction:
 
     def __repr__(self):
         return f"OrliczFunction({self.name})"
+
+
+def _powlog(u, p, g):
+    u = np.asarray(u, dtype=float)
+    out = u**p * np.log1p(u) ** g if g else u**p
+    return float(out) if out.ndim == 0 else out
+
+
+@lru_cache(maxsize=1 << 14, typed=True)
+def _powlog_inverse(p, g, y):
+    if y == 0:
+        return 0.0
+    if y < 0:
+        raise ValueError("Phi inverse needs y >= 0")
+    if g == 0:
+        return y ** (1.0 / p)
+    lo, hi = 0.0, 1.0
+    while _powlog(hi, p, g) < y:
+        hi *= 2.0
+        if hi > 1e300:
+            raise NumericError("Phi inverse bracket overflow")
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if _powlog(mid, p, g) < y:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-15 * hi:
+            break
+    return 0.5 * (lo + hi)
 
 
 def parse_orlicz(text):
@@ -378,10 +388,7 @@ def square_function(seq: Sequence, inner_exponent, scale_exponent):
 
 def _square_atoms_cubes(items, r, scale_exp):
     items.sort(key=lambda t: canonical_key(t[0]))
-    pos = {cube: i for i, (cube, _) in enumerate(items)}
-    if len(pos) != len(items):
-        raise ValueError("duplicate cube in sequence")
-    levels = sorted({cube.j for cube, _ in items})
+    parent = cube_parents([cube for cube, _ in items])
     n = len(items)
     ln_wr = np.empty(n)
     for i, (cube, mag) in enumerate(items):
@@ -389,18 +396,12 @@ def _square_atoms_cubes(items, r, scale_exp):
         ln_wr[i] = r * ln_w
     chain = np.full(n, -np.inf)
     child_frac = np.zeros(n)
-    parent = np.full(n, -1, dtype=int)
+    # canonical order puts every parent before its children
     for i, (cube, _) in enumerate(items):
-        for lev in reversed([l for l in levels if l < cube.j]):
-            anc = cube.ancestor(lev)
-            p = pos.get(anc)
-            if p is not None:
-                parent[i] = p
-                break
-        chain[i] = np.logaddexp(chain[parent[i]], ln_wr[i]) if parent[i] >= 0 else ln_wr[i]
-        if parent[i] >= 0:
-            pc = items[parent[i]][0]
-            child_frac[parent[i]] += 2.0 ** (-(cube.j - pc.j) * cube.d)
+        p = parent[i]
+        chain[i] = np.logaddexp(chain[p], ln_wr[i]) if p >= 0 else ln_wr[i]
+        if p >= 0:
+            child_frac[p] += 2.0 ** (-(cube.j - items[p][0].j) * cube.d)
     ln_m, ln_v, regions = [], [], []
     for i, (cube, _) in enumerate(items):
         frac = child_frac[i]
@@ -418,38 +419,25 @@ def _square_atoms_rects(items, r, scale_exp):
         raise ValueError("mixed rectangle dimensions")
     if any(iv.j > MAX_RECT_LEVEL for rect, _ in items for iv in rect.intervals):
         raise FeasibilityError("rectangle level beyond supported grid range")
-    breaks = []
-    for axis in range(d):
-        pts = set()
-        for rect, _ in items:
-            lo, hi = rect.intervals[axis].support()[0]
-            pts.add(lo)
-            pts.add(hi)
-        breaks.append(np.array(sorted(pts)))
+    breaks, slices = rect_grid([rect for rect, _ in items])
     shape = tuple(len(b) - 1 for b in breaks)
     cells = int(np.prod(shape))
     if cells > GRID_CELL_CAP:
         raise FeasibilityError(f"refinement grid of {cells} cells exceeds cap")
     diff = np.zeros(tuple(s + 1 for s in shape))
-    for rect, mag in items:
+    for (rect, mag), sl in zip(items, slices):
         wr = math.exp(r * (scale_exp * rect.log2_measure * LN2 + math.log(mag)))
         if not math.isfinite(wr):
             raise NumericError("rectangle weight out of float range")
-        lohi = []
-        for axis in range(d):
-            lo, hi = rect.intervals[axis].support()[0]
-            a = int(np.searchsorted(breaks[axis], lo))
-            b = int(np.searchsorted(breaks[axis], hi))
-            lohi.append((a, b))
         for corner in range(1 << d):
             sign = 1.0
             idx = []
             for axis in range(d):
                 if corner >> axis & 1:
-                    idx.append(lohi[axis][1])
+                    idx.append(sl[axis].stop)
                     sign = -sign
                 else:
-                    idx.append(lohi[axis][0])
+                    idx.append(sl[axis].start)
             diff[tuple(idx)] += sign * wr
     for axis in range(d):
         diff = np.cumsum(diff, axis=axis)
@@ -473,8 +461,13 @@ def _square_atoms_rects(items, r, scale_exp):
 def bmo_norm(seq: Sequence, r):
     """sup over dyadic intervals I of ((1/|I|) sum_{J subset I} |s_J|^r |J|)^(1/r).
 
-    The sup is attained on the finite candidate set of ancestors-or-self of
-    the support intervals, up to the minimal interval covering the support.
+    The sup is attained on the virtual tree of the support: the support
+    intervals and the lowest common ancestors of their Z-order neighbours.
+    Between two consecutive nodes of that tree, and above its root, an
+    ancestor I holds the same intervals J as the node below it while |I|
+    doubles at each level, so its mean is smaller. Each node's mean is summed
+    from the relative weights |s_J|^r |J|/|I| = |s_J|^r 2^(j_I - j_J), exact
+    powers of two that stay in range at any depth, in the order of the items.
     """
     if r <= 0:
         raise ValueError("r must be positive")
@@ -483,21 +476,22 @@ def bmo_norm(seq: Sequence, r):
     items = [(iv, abs(v)) for iv, v in seq.entries.items() if v != 0.0]
     if not items:
         return 0.0
-    root_level = min(iv.j for iv, _ in items)
-    while True:
-        tops = {iv.ancestor(root_level) for iv, _ in items}
-        if len(tops) == 1:
-            break
-        root_level -= 1
-        if root_level < -1100:
-            raise NumericError("support too spread out for a common dyadic root")
-    sums = {}
-    for iv, mag in items:
-        contrib = mag**r * iv.measure
-        for lev in range(iv.j, root_level - 1, -1):
-            anc = iv.ancestor(lev)
-            sums[anc] = sums.get(anc, 0.0) + contrib
-    return max((s / iv.measure) ** (1.0 / r) for iv, s in sums.items())
+    # the columns are added in item order, so each node's sum keeps that order
+    sums = reduce(np.add, bmo_weights([iv for iv, _ in items], [mag**r for _, mag in items]))
+    return float(sums.max()) ** (1.0 / r)
+
+
+def bmo_weights(intervals, pows):
+    """Relative weights of the bmo means over the virtual tree of the intervals.
+
+    Yields, for each interval J in order, the vector over the tree nodes I of
+    pows[J] |J|/|I| = pows[J] 2^(j_I - j_J) where I contains J, and 0 elsewhere.
+    """
+    nodes, start, end = virtual_tree(intervals)
+    levels = np.array([iv.j for iv in nodes])
+    for i, (iv, w) in enumerate(zip(intervals, pows)):
+        inside = (start <= start[i]) & (start[i] < end)
+        yield np.where(inside, np.ldexp(w, np.minimum(levels - iv.j, 0)), 0.0)
 
 
 # ---------------------------------------------------------------------------

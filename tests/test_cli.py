@@ -93,6 +93,15 @@ def test_democracy_command(capsys):
     assert float(row[1]) == pytest.approx(math.sqrt(2))
 
 
+def test_democracy_bmo_beyond_float_measures(capsys):
+    # families spanning 1100 levels, where 2^-1100 is 0.0 as a float
+    assert main(["democracy", "--space", "bmo:2", "--N", "1100",
+                 "--strategy", "structured"]) == 0
+    row = capsys.readouterr().out.strip().splitlines()[1].split(",")
+    assert float(row[1]) == 1.0
+    assert float(row[2]) == pytest.approx(math.sqrt(math.log2(1100)), rel=0.01)
+
+
 def test_outputs_and_manifest_determinism(tmp_path, capsys):
     out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
     for out in (out1, out2):
