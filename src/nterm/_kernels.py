@@ -1,4 +1,6 @@
-"""Numpy kernels for the exhaustive l^p subset scan over all 2^n bitmasks."""
+"""Numpy kernels over all 2^n bitmasks of n elements: the subset sums that give
+every l^p residual's p-th power, and the per-popcount reduction that turns a
+table indexed by residual mask into every sigma_N at once."""
 import numpy as np
 
 BACKEND = "python"  # the only backend; perfbench/worker.py records it
@@ -12,11 +14,8 @@ def subset_sums(vals):
     if n > 26:
         raise ValueError("subset_sums limited to 26 elements")
     out = np.zeros(1 << n)
-    for b in range(n):
-        step = 1 << b
-        idx = np.arange(1 << n)
-        has = (idx >> b) & 1 == 1
-        out[has] = out[idx[has] - step] + vals[b]
+    for b in range(n):  # masks with top bit b extend those below 2^b
+        out[1 << b : 2 << b] = out[: 1 << b] + vals[b]
     return out
 
 

@@ -43,7 +43,9 @@ class BatchNorm:
         masks = np.asarray(masks)
         if masks.ndim != 2 or masks.shape[1] != len(self.indices):
             raise ValueError("mask matrix shape mismatch")
-        return self._fn(masks.astype(float))
+        out = self._fn(masks.astype(float))
+        _check_finite(out)
+        return out
 
     def norm_of(self, subset):
         mask = np.zeros((1, len(self.indices)))
@@ -66,9 +68,7 @@ class BatchNorm:
         positions 0..len(cols)-1, scanned in blocks of MASK_CHUNK.
 
         Returns (min, max, argmin, argmax); the arg tuples are the first
-        extremizers in combination order. A block holding a NaN never replaces
-        the running extrema (its argmin and argmax land on the NaN), so a scan
-        with a NaN in every block returns (inf, -inf, None, None)."""
+        extremizers in combination order."""
         lo, hi, arg_lo, arg_hi = math.inf, -math.inf, None, None
         it = combinations(range(len(cols)), N)
         while block := list(islice(it, MASK_CHUNK)):
@@ -85,7 +85,8 @@ def _check_finite(*arrays):
     for a in arrays:
         if not np.all(np.isfinite(a)):
             raise NumericError(
-                "batch evaluator out of linear float range; use the scalar path"
+                "batch evaluator gave non-finite values (out of linear float "
+                "range); use the scalar path"
             )
 
 

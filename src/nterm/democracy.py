@@ -11,7 +11,7 @@ from itertools import combinations
 import numpy as np
 
 from .batch import batch_evaluator
-from .errors import FeasibilityError, NumericError, ParseError
+from .errors import FeasibilityError, ParseError
 from .greedy import aspace_norm
 from .indices import Cube, Rect, interval
 from .sequences import indicator
@@ -214,14 +214,14 @@ def h_structured(spec, N, family, level=None):
     return normalized_indicator_norm(spec, structured_family(spec, N, family, level))
 
 
-def h_exhaustive(spec, universe: Universe, N, cap=EXHAUSTIVE_CAP):
+def h_exhaustive(spec, universe: Universe, N):
     """Exact min/max of the normalized indicator norm over all size-N subsets.
 
     Returns (h_ell, h_r, argmin set, argmax set); the argument sets are the
     first extremizers in the universe's combination order.
     """
     count = math.comb(len(universe), N)
-    if count > cap:
+    if count > EXHAUSTIVE_CAP:
         raise FeasibilityError(
             f"C({len(universe)},{N}) = {count} subsets exceeds the exhaustive cap; "
             "use structured families"
@@ -231,10 +231,6 @@ def h_exhaustive(spec, universe: Universe, N, cap=EXHAUSTIVE_CAP):
     ev = batch_evaluator(spec, idx, vals)
     cols = np.array([ev.pos[i] for i in idx])
     h_ell, h_r, arg_min, arg_max = ev.subset_extrema(cols, N)
-    if arg_min is None:  # a NaN in every block, or only inf
-        raise NumericError(
-            "exhaustive democracy scan produced non-finite norms; use the scalar path"
-        )
     return h_ell, h_r, [idx[i] for i in arg_min], [idx[i] for i in arg_max]
 
 
@@ -259,7 +255,7 @@ class DemocracyProfile:
         return np.array([getattr(r, name) for r in self.rows])
 
 
-def democracy_profile(spec, N_list, strategy="auto", universe=None, cap=EXHAUSTIVE_CAP):
+def democracy_profile(spec, N_list, strategy="auto", universe=None):
     """Democracy functions over N_list with structural checks.
 
     strategy: exhaustive | structured | auto (exhaustive where the subset count
@@ -274,10 +270,10 @@ def democracy_profile(spec, N_list, strategy="auto", universe=None, cap=EXHAUSTI
             strategy == "auto"
             and universe is not None
             and N <= len(universe)
-            and math.comb(len(universe), N) <= cap
+            and math.comb(len(universe), N) <= EXHAUSTIVE_CAP
         )
         if use_exh:
-            h_ell, h_r, arg_min, arg_max = h_exhaustive(spec, universe, N, cap=cap)
+            h_ell, h_r, arg_min, arg_max = h_exhaustive(spec, universe, N)
             rows.append(
                 DemocracyRow(
                     N, h_ell, h_r, "exhaustive", "exact-on-universe",
@@ -410,14 +406,14 @@ def _structured_or_none(spec, N, family):
 # democracy functions of the approximation spaces
 # ---------------------------------------------------------------------------
 
-def induced_h(spec, alpha, q, mode, universe: Universe, N, cap=EXHAUSTIVE_CAP):
+def induced_h(spec, alpha, q, mode, universe: Universe, N):
     """Min/max over |Gamma| = N of the approximation-space quasi-norm of the
     normalized indicator (sigma-built for mode "aspace", gamma-built for
     mode "gclass")."""
     if mode not in ("aspace", "gclass"):
         raise ParseError("mode must be aspace or gclass")
     count = math.comb(len(universe), N)
-    if count > cap:
+    if count > EXHAUSTIVE_CAP:
         raise FeasibilityError(f"C({len(universe)},{N}) exceeds the cap")
     kind = "sigma" if mode == "aspace" else "gamma"
     best_min, best_max = math.inf, -math.inf

@@ -13,33 +13,25 @@ from itertools import combinations
 import numpy as np
 
 from . import _kernels
-from .batch import batch_evaluator
+from .batch import MASK_CHUNK, batch_evaluator
 from .errors import FeasibilityError
-from .indices import canonical_key
-from .sequences import Sequence
+from .sequences import Sequence, rearrange
 from .spaces import SpaceSpec, ambient_norm, element_norm
 
 TIE_FAMILY_CAP = 10_000
 SUBSET_CAP = 2_000_000
-KERNEL_SUPPORT_CAP = 22
-
-
-def _comb(n, k):
-    return math.comb(n, k) if 0 <= k <= n else 0
 
 
 class _Context:
     """Per-(sequence, space) evaluation state shared by the subset engines."""
 
-    def __init__(self, seq: Sequence, spec: SpaceSpec, rng=None):
+    def __init__(self, seq: Sequence, spec: SpaceSpec):
         self.spec = spec
-        self.seq = seq
-        items = [(i, v) for i, v in seq.entries.items() if v != 0.0]
-        items.sort(key=lambda t: (-abs(t[1]), canonical_key(t[0])))
-        self.indices = [i for i, _ in items]
-        self.mags = np.array([abs(v) for _, v in items])
-        self.n = len(items)
-        self.rng = rng or np.random.default_rng(0)
+        r = rearrange(seq)
+        self.indices = r.order
+        self.mags = r.values
+        self.n = len(r)
+        self.rng = np.random.default_rng(0)
         self._eval = None
 
     @property
@@ -53,11 +45,6 @@ class _Context:
             pos = {idx: c for c, idx in enumerate(self._eval.indices)}
             self._cols = np.array([pos[idx] for idx in self.indices])
         return self._eval
-
-    def residual_norms(self, kept_rows):
-        """Norms of the complements of the kept index-position rows."""
-        ev = self.evaluator
-        return ev.subset_norms(self._cols, kept_rows, complement=True)
 
     def greedy_representatives(self, N):
         """Tie family reduced by norm-equivalence where the space is invariant
@@ -91,7 +78,7 @@ class _Context:
         strict = [i for i in range(self.n) if self.mags[i] > thr]
         ties = [i for i in range(self.n) if self.mags[i] == thr]
         m = N - len(strict)
-        count = _comb(len(ties), m)
+        count = math.comb(len(ties), m)
         if count <= TIE_FAMILY_CAP:
             fam = [tuple(strict) + c for c in combinations(ties, m)]
             return fam, True
@@ -103,10 +90,10 @@ class _Context:
         return [tuple(strict) + c for c in picks], False
 
 
-def greedy_sets(seq: Sequence, N, rng=None):
+def greedy_sets(seq: Sequence, N):
     """Every kept-index set reachable as the first N entries of a
     magnitude-nonincreasing ordering (sampled beyond the tie-family cap)."""
-    ctx = _Context(seq, SpaceSpec("lp", p=1.0), rng)
+    ctx = _Context(seq, SpaceSpec("lp", p=1.0))
     fam, exact = ctx.greedy_kept(N)
     return [frozenset(ctx.indices[i] for i in kept) for kept in fam], exact
 
@@ -120,36 +107,36 @@ class ErrorValue:
         return self.value
 
 
-def gamma_n(seq, N, spec, ctx=None):
-    """Greedy error at step N: max residual norm over admissible kept sets."""
+def _greedy_residuals(seq, N, spec, ctx):
+    """Residual norms over the greedy tie family at step N, plus its
+    exactness flag."""
     ctx = ctx or _Context(seq, spec)
     if ctx.n == 0:
-        return ErrorValue(0.0)
+        return np.zeros(1), True
     fam, exact = ctx.greedy_representatives(N)
-    vals = ctx.residual_norms(fam)
+    return ctx.evaluator.subset_norms(ctx._cols, fam, complement=True), exact
+
+
+def gamma_n(seq, N, spec, ctx=None):
+    """Greedy error at step N: max residual norm over admissible kept sets."""
+    vals, exact = _greedy_residuals(seq, N, spec, ctx)
     return ErrorValue(float(vals.max()), exact)
 
 
 def sigma_n_upper(seq, N, spec, ctx=None):
     """Greedy upper bound on the optimal N-term error: min over admissible
     kept sets of the residual norm."""
-    ctx = ctx or _Context(seq, spec)
-    if ctx.n == 0:
-        return ErrorValue(0.0)
-    fam, exact = ctx.greedy_representatives(N)
-    vals = ctx.residual_norms(fam)
+    vals, exact = _greedy_residuals(seq, N, spec, ctx)
     return ErrorValue(float(vals.min()), exact)
 
 
-def sigma_n_exact(seq, N, spec, ctx=None, cap=SUBSET_CAP):
+def sigma_n_exact(seq, N, spec, ctx=None):
     """Optimal N-term error by exhaustive search over all kept sets of size N."""
     ctx = ctx or _Context(seq, spec)
-    if ctx.n == 0:
-        return ErrorValue(0.0)
     if N >= ctx.n:
         return ErrorValue(0.0)
-    count = _comb(ctx.n, N)
-    if count > cap:
+    count = math.comb(ctx.n, N)
+    if count > SUBSET_CAP:
         raise FeasibilityError(
             f"C({ctx.n},{N}) = {count} kept sets exceeds the exhaustive cap; "
             "use sigma_n_upper"
@@ -174,42 +161,57 @@ class Profile:
         return [(N, self.values[N], self.flags[N]) for N in range(len(self.values))]
 
 
-def _lp_exact_sigma_all(ctx):
-    """All sigma_N at once for l^p via the subset-scan kernels (brute force
-    over every kept set, exact).
+def _sigma_all(ctx):
+    """sigma_0 .. sigma_n: the norm of every residual mask, least per popcount.
 
-    The subset-sum table indexed by the residual mask gives each residual's
-    own sum directly, so small errors are never formed as a difference of two
-    large kept/total sums."""
-    pw = ctx.mags**ctx.spec.p
-    sums = _kernels.subset_sums(np.ascontiguousarray(pw))
-    mins, _ = _kernels.extrema_by_popcount(sums, ctx.n)
-    resid = mins[::-1][: ctx.n + 1]  # min residual over |kept| = N
-    return resid ** (1.0 / ctx.spec.p)
+    l^p reads the residuals' p-th power sums off the subset-sum table. Other
+    spaces evaluate one popcount class at a time in blocks of MASK_CHUNK; with
+    position c at bit n-1-c, ascending residual masks follow the kept sets in
+    combination order, so each block is a block of sigma_n_exact's scan and the
+    norms agree bitwise (a block that mixes popcounts moves rows, which can move
+    a matmul result by an ulp)."""
+    n = ctx.n
+    if ctx.spec.tag == "lp":
+        resid = _kernels.subset_sums(ctx.mags**ctx.spec.p)
+    else:
+        ev = ctx.evaluator
+        resid = np.zeros(1 << n)
+        masks = np.arange(1 << n, dtype=np.uint32)
+        popcount = np.bitwise_count(masks)
+        bits = np.zeros(n, dtype=np.uint32)
+        bits[ctx._cols] = 1 << np.arange(n - 1, -1, -1)
+        for k in range(1, n + 1):
+            cls = masks[popcount == k]
+            for start in range(0, len(cls), MASK_CHUNK):
+                block = cls[start : start + MASK_CHUNK]
+                resid[block] = ev.norms((block[:, None] & bits) != 0)
+    mins = _kernels.extrema_by_popcount(resid, n)[0][::-1]
+    # the root is taken on the reversed view: numpy's contiguous power loop can
+    # round differently from its strided one, and these floats are the reference
+    return mins ** (1.0 / ctx.spec.p) if ctx.spec.tag == "lp" else mins
 
 
-def sigma_profile(seq, spec, method="auto", cap=SUBSET_CAP):
+def sigma_profile(seq, spec, method="auto"):
     """Profile of optimal errors sigma_N, N = 0..|supp|.
 
-    method: "exact" forces exhaustive search at every N (error beyond cap),
-    "greedy" forces the greedy upper bound, "auto" runs the full exhaustive
-    profile when the support is small enough for every N to be affordable and
-    the uniform greedy bound otherwise.
+    method: "exact" sweeps every residual mask (FeasibilityError when some
+    C(n, N) exceeds SUBSET_CAP), "greedy" takes the greedy upper bound at each
+    N, and "auto" sweeps when 2^n <= 2 * SUBSET_CAP and takes the greedy bound
+    otherwise.
     """
     ctx = _Context(seq, spec)
     n = ctx.n
     vals = np.zeros(n + 1)
     flags = ["exact"] * (n + 1)
-    if n == 0:
-        return Profile("sigma", spec.label(), vals, flags)
-    if method in ("auto", "exact") and spec.tag == "lp" and n <= KERNEL_SUPPORT_CAP:
-        vals[:n] = _lp_exact_sigma_all(ctx)[:n]
-        return Profile("sigma", spec.label(), vals, flags)
-    whole_exact = 2**n <= 2 * cap
-    for N in range(n):
-        if method == "exact" or (method == "auto" and whole_exact):
-            vals[N] = sigma_n_exact(seq, N, spec, ctx=ctx, cap=cap).value
-        else:
+    if method == "exact" and (count := math.comb(n, n // 2)) > SUBSET_CAP:
+        raise FeasibilityError(
+            f"C({n},{n // 2}) = {count} kept sets exceeds the exhaustive cap; "
+            "use method='greedy'"
+        )
+    if n and (method == "exact" or (method == "auto" and 2**n <= 2 * SUBSET_CAP)):
+        vals[:n] = _sigma_all(ctx)[:n]
+    else:
+        for N in range(n):
             ev = sigma_n_upper(seq, N, spec, ctx=ctx)
             vals[N] = ev.value
             flags[N] = "greedy" if ev.exact else "sampled"

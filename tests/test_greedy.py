@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from nterm.errors import FeasibilityError
+from conftest import ALL_SPACE_LABELS
+from nterm import greedy
+from nterm.errors import FeasibilityError, NumericError
+from nterm.experiments import canonical_indices
 from nterm.greedy import (
     aspace_norm,
     gamma_n,
@@ -130,15 +133,73 @@ def test_sigma_le_gamma_all_spaces(any_space, rng):
         assert sp.values[-1] == 0.0 and gp.values[-1] == 0.0
 
 
+def _spread_sequence(spec, n, rng):
+    idx = canonical_indices(spec, n)
+    vals = rng.uniform(0.05, 4.0, n) * rng.choice([-1.0, 1.0], n)
+    return Sequence(dict(zip(idx, vals)), spec.universe)
+
+
 def test_kernel_profile_matches_enumeration(rng):
-    for _ in range(10):
-        n = int(rng.integers(2, 12))
-        seq = Sequence(dict(zip(range(1, n + 1), rng.standard_normal(n) * 3)))
-        prof = sigma_profile(seq, L2)  # kernel fast path
-        for N in range(n):
-            assert prof.value(N) == pytest.approx(
-                sigma_n_exact(seq, N, L2).value, rel=1e-12
-            )
+    # the one-sweep profile against the per-N exhaustive scan in every space:
+    # bitwise, except l^p, whose kernel adds the p-th powers in magnitude order
+    # where the scan adds them in canonical index order
+    for label in ALL_SPACE_LABELS:
+        spec = parse_space(label)
+        for n in range(1, 12):
+            seq = _spread_sequence(spec, n, rng)
+            prof = sigma_profile(seq, spec, method="exact")
+            want = [sigma_n_exact(seq, N, spec).value for N in range(n)] + [0.0]
+            if spec.tag == "lp":
+                assert prof.values == pytest.approx(want, rel=1e-12)
+            else:
+                assert prof.values.tolist() == want, (label, n)
+
+
+def test_sweep_matches_scan_across_mask_blocks():
+    # C(19, 9) = 92,378 kept sets span two MASK_CHUNK blocks, and a matmul row
+    # can move by an ulp with its offset in the block, so each popcount class
+    # must be cut into the per-N scan's blocks. With OpenBLAS, a sweep that
+    # reorders the masks of a class fails on the first input, and one that
+    # mixes popcounts in a block fails on the second
+    for label, seed in (("fpr:0,2,2,1", 3), ("fpr:0.3,2,1.5,1", 1)):
+        spec = parse_space(label)
+        seq = _spread_sequence(spec, 19, np.random.default_rng(seed))
+        prof = sigma_profile(seq, spec, method="exact")
+        want = [sigma_n_exact(seq, N, spec).value for N in range(19)] + [0.0]
+        assert prof.values.tolist() == want, label
+
+
+@pytest.mark.parametrize("label", ["lp:2", "lplq:2,1"])
+def test_sigma_profile_feasibility_rule(monkeypatch, rng, label):
+    # exact refuses when some C(n, N) exceeds the cap; auto sweeps while
+    # 2^n <= 2 * cap, in l^p as in every other space
+    spec = parse_space(label)
+    cap = 20
+    monkeypatch.setattr(greedy, "SUBSET_CAP", cap)
+    for n in range(1, 10):
+        seq = _spread_sequence(spec, n, rng)
+        if max(math.comb(n, N) for N in range(n)) > cap:
+            with pytest.raises(FeasibilityError, match="method='greedy'"):
+                sigma_profile(seq, spec, method="exact")
+        else:
+            assert sigma_profile(seq, spec, method="exact").flags == ["exact"] * (n + 1)
+        auto = sigma_profile(seq, spec).flags[:n]
+        assert set(auto) == ({"exact"} if 2**n <= 2 * cap else {"greedy"}), n
+
+
+def test_deep_tower_raises_in_every_engine():
+    # a level-gap-120 tower overflows the batch evaluator; every engine must
+    # raise a typed error rather than return inf or NaN
+    spec = parse_space("lpq:2,4")
+    seq = Sequence({Cube(120 * i, (0,)): 1.0 + 0.1 * i for i in range(6)}, "cube")
+    with np.errstate(all="ignore"):
+        for run in (
+            lambda: sigma_profile(seq, spec, method="exact"),
+            lambda: gamma_profile(seq, spec),
+            lambda: sigma_n_exact(seq, 2, spec),
+        ):
+            with pytest.raises(NumericError, match="non-finite"):
+                run()
 
 
 def test_profile_flags_greedy_on_large_support(rng):

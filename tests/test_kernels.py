@@ -1,5 +1,7 @@
+import functools
 import itertools
 import math
+import operator
 
 import numpy as np
 
@@ -7,14 +9,16 @@ from nterm import _kernels
 
 
 def test_subset_sums_against_direct_enumeration(rng):
+    # bitwise: entry m adds vals[b] over the bits of m left to right, lowest first
     for _ in range(20):
         n = int(rng.integers(0, 11))
         vals = rng.standard_normal(n)
         sums = _kernels.subset_sums(np.ascontiguousarray(vals))
         assert len(sums) == 2**n
         for mask in range(2**n):
-            direct = sum(vals[b] for b in range(n) if mask >> b & 1)
-            assert math.isclose(sums[mask], direct, rel_tol=1e-12, abs_tol=1e-12)
+            direct = functools.reduce(
+                operator.add, [vals[b] for b in range(n) if mask >> b & 1], 0.0)
+            assert sums[mask] == direct
 
 
 def test_extrema_by_popcount(rng):
