@@ -24,7 +24,7 @@ def extrema_by_popcount(sums, n):
     sums = np.asarray(sums, dtype=np.float64)
     if sums.shape[0] != (1 << n):
         raise ValueError("sums length must be 2**n")
-    pc = np.bitwise_count(np.arange(1 << n, dtype=np.uint64)).astype(np.intp)
+    pc = np.bitwise_count(np.arange(1 << n, dtype=np.uint32))  # uint8
     mins = np.full(n + 1, np.inf)
     maxs = np.full(n + 1, -np.inf)
     np.minimum.at(mins, pc, sums)

@@ -6,9 +6,14 @@ quasi-norms. The combinatorial engines (exact N-term search, greedy tie
 enumeration, exhaustive democracy scans) all run on top of this layer; its
 agreement with the scalar evaluators in spaces.py is asserted by tests.
 
-Evaluators work in linear float range and are meant for the moderate supports
-reached by exhaustive scans; deep structured families go through the
-log-robust scalar path instead.
+The inner sums (p-th powers, r-th power square-function sums, bmo means) are
+taken in linear float range and checked finite; a support whose weights leave
+that range raises NumericError. The L^{p,q} and Orlicz-Luxemburg outer norms
+then run in log scale through the kernels the scalar path uses,
+spaces.lorentz_rows (closed form per rearranged piece) and
+spaces.luxemburg_rows (safeguarded Newton on ln lam, step tolerance
+1e-12 max(1, |ln lam|)), so lpq and orlicz rows reach any value range the inner
+sums do. fpr and hyp keep their linear outer sums.
 """
 from __future__ import annotations
 
@@ -21,11 +26,16 @@ from .errors import NumericError
 from .geometry import cube_parents, rect_grid
 from .indices import canonical_key
 from .sequences import Sequence
-from .spaces import LN2, SpaceSpec, bmo_weights, square_function
+from .spaces import (
+    LN2, SpaceSpec, bmo_weights, lorentz_rows, luxemburg_rows, square_function,
+)
 
 # subset rows per block of an exhaustive scan; it bounds the mask matrix, and the
 # block shape fixes the matmul batch shapes, so changing it can move results by an ulp
 MASK_CHUNK = 1 << 16
+# rows per call of the log-scale kernels: their temporaries then stay in cache;
+# each row's float is independent of the rows around it
+KERNEL_ROWS = 1 << 12
 
 
 class BatchNorm:
@@ -46,12 +56,6 @@ class BatchNorm:
         out = self._fn(masks.astype(float))
         _check_finite(out)
         return out
-
-    def norm_of(self, subset):
-        mask = np.zeros((1, len(self.indices)))
-        for idx in subset:
-            mask[0, self.pos[idx]] = 1.0
-        return float(self.norms(mask)[0])
 
     def subset_norms(self, cols, kept, complement=False):
         """Norms of the subsets given as equal-length rows of positions into
@@ -91,13 +95,12 @@ def _check_finite(*arrays):
 
 
 def _cube_incidence(spec, indices, values, inner_r, scale_exp):
-    """Atoms of the full-support refinement plus the (atom x index) matrix of
-    r-th power weight contributions."""
+    """ln measures of the atoms of the full-support refinement plus the
+    (atom x index) matrix of r-th power weight contributions."""
     seq = Sequence(dict(zip(indices, values)), spec.universe)
     f = square_function(seq, inner_r, scale_exp)
     if f.regions is None:
         raise AssertionError("cube path must carry regions")
-    measures = np.exp(f.ln_measures)
     atom_cubes = f.regions
     n = len(indices)
     pos = {idx: i for i, idx in enumerate(indices)}
@@ -114,8 +117,8 @@ def _cube_incidence(spec, indices, values, inner_r, scale_exp):
         while i >= 0:
             im[a, i] = wr[i]
             i = parent[i]
-    _check_finite(measures, im)
-    return measures, im
+    _check_finite(im)
+    return f.ln_measures, im
 
 
 def _rect_incidence(spec, indices, values, inner_r, scale_exp):
@@ -141,19 +144,6 @@ def _rect_incidence(spec, indices, values, inner_r, scale_exp):
         im[:, i] = grid.reshape(-1)
     _check_finite(meas, im)
     return meas, im
-
-
-def _lorentz_rows(values, measures, p, q):
-    """Row-wise L^{p,q} of step functions sharing one measure vector."""
-    order = np.argsort(-values, axis=1, kind="stable")
-    v = np.take_along_axis(values, order, axis=1)
-    m = np.broadcast_to(measures, values.shape)
-    m = np.take_along_axis(m, order, axis=1)
-    b = np.cumsum(m, axis=1)
-    a = np.concatenate([np.zeros((values.shape[0], 1)), b[:, :-1]], axis=1)
-    qp = q / p
-    contrib = (p / q) * (b**qp - a**qp) * v**q
-    return np.sum(contrib, axis=1) ** (1.0 / q)
 
 
 def batch_evaluator(spec: SpaceSpec, indices, values) -> BatchNorm:
@@ -189,57 +179,31 @@ def batch_evaluator(spec: SpaceSpec, indices, values) -> BatchNorm:
             ).sum(axis=1) ** (1.0 / spec.q)
 
     elif spec.tag == "fpr":
-        meas, im = _cube_incidence(spec, indices, values, spec.r, -spec.s / spec.d - 0.5)
+        ln_meas, im = _cube_incidence(spec, indices, values, spec.r, -spec.s / spec.d - 0.5)
+        meas = np.exp(ln_meas)
         pr = spec.p / spec.r
 
         def fn(masks):
             inner = masks @ im.T
             return (inner**pr @ meas) ** (1.0 / spec.p)
 
-    elif spec.tag == "lpq":
-        meas, im = _cube_incidence(spec, indices, values, 2.0, -0.5)
+    elif spec.tag in ("lpq", "orlicz"):
+        ln_meas, im = _cube_incidence(spec, indices, values, 2.0, -0.5)
+        if spec.tag == "lpq":
+            def kernel(ln_v):
+                return lorentz_rows(ln_meas, ln_v, spec.p, spec.q)
+        else:
+            def kernel(ln_v):
+                return luxemburg_rows(ln_meas, ln_v, spec.orlicz)[0]
 
         def fn(masks):
-            inner = np.sqrt(masks @ im.T)
-            return _lorentz_rows(inner, meas, spec.p, spec.q)
-
-    elif spec.tag == "orlicz":
-        meas, im = _cube_incidence(spec, indices, values, 2.0, -0.5)
-        phi = spec.orlicz
-        inv1 = phi.inverse(1.0)
-
-        def fn(masks):
-            v = np.sqrt(masks @ im.T)
-            lin = v @ meas
-            out = np.zeros(len(lin))
-            live = lin > 0
-            if not np.any(live):
-                return out
-            vv = v[live]
-            hi = lin[live] / inv1
-            for _ in range(200):
-                over = np.sum(meas * phi(vv / hi[:, None]), axis=1) > 1.0
-                if not np.any(over):
-                    break
-                hi[over] *= 2.0
-            else:
-                raise NumericError("luxemburg bracket expansion failed")
-            lo = hi.copy()
-            for _ in range(60):
-                lo_next = lo * 0.5
-                under = np.sum(meas * phi(vv / lo_next[:, None]), axis=1) <= 1.0
-                if not np.any(under):
-                    break
-                lo = np.where(under, lo_next, lo)
-            lo *= 0.5
-            # 44 halvings bring the bracket below 1e-13 relative width
-            for _ in range(44):
-                mid = 0.5 * (lo + hi)
-                over = np.sum(meas * phi(vv / mid[:, None]), axis=1) > 1.0
-                lo = np.where(over, mid, lo)
-                hi = np.where(over, hi, mid)
-            out[live] = hi
-            return out
+            # an atom a subset leaves uncovered has ln value -inf; a norm past
+            # the float range comes out inf and is caught by _check_finite
+            with np.errstate(divide="ignore", over="ignore"):
+                ln_v = 0.5 * np.log(masks @ im.T)
+                return np.exp(np.concatenate([
+                    kernel(ln_v[i : i + KERNEL_ROWS])
+                    for i in range(0, max(len(ln_v), 1), KERNEL_ROWS)]))
 
     elif spec.tag == "hyp":
         meas, im = _rect_incidence(spec, indices, values, 2.0, -0.5)

@@ -45,14 +45,6 @@ class Sequence:
     def support(self):
         return sorted((i for i, v in self.entries.items() if v != 0.0), key=canonical_key)
 
-    def restrict(self, indices):
-        keep = set(indices)
-        return Sequence({i: v for i, v in self.entries.items() if i in keep}, self.kind)
-
-    def drop(self, indices):
-        out = set(indices)
-        return Sequence({i: v for i, v in self.entries.items() if i not in out}, self.kind)
-
     def scale(self, factor):
         return Sequence({i: factor * v for i, v in self.entries.items()}, self.kind)
 

@@ -302,69 +302,108 @@ def lorentz_step_norm(f: StepFunction, p, q):
     """L^{p,q} quasi-norm of a step function via its decreasing rearrangement.
 
     Each rearranged piece [a, b) at value v contributes the closed form
-    (p/q) (b^{q/p} - a^{q/p}) v^q; pieces are evaluated in log scale so that
-    value/measure ranges spanning many hundreds of dyadic levels stay exact.
+    (p/q) (b^{q/p} - a^{q/p}) v^q; `lorentz_rows` sums the pieces in log scale,
+    so value/measure ranges spanning many hundreds of dyadic levels are exact
+    to a few ulps of ln of the norm.
     """
     if p <= 0 or q <= 0:
         raise ValueError("p and q must be positive")
-    keep = f.ln_values > -np.inf
-    if not np.any(keep):
-        return 0.0
-    lv = f.ln_values[keep]
-    lm = f.ln_measures[keep]
-    order = np.argsort(-lv, kind="stable")
-    lv = lv[order]
-    lm = lm[order]
-    ln_b = np.logaddexp.accumulate(lm)
-    ln_a = np.concatenate(([-np.inf], ln_b[:-1]))
-    qp = q / p
-    # log(b^qp - a^qp) = qp*log a + log(expm1(qp*(log b - log a)))
-    with np.errstate(invalid="ignore"):
-        t = qp * (ln_b - ln_a)
-        ln_diff = np.where(
-            np.isfinite(ln_a),
-            qp * ln_a + np.log(np.expm1(np.minimum(t, 700.0))),
-            qp * ln_b,
-        )
-    contrib = math.log(p / q) + ln_diff + q * lv
-    return math.exp(_logsumexp(contrib) / q)
+    return math.exp(lorentz_rows(f.ln_measures, f.ln_values[None, :], p, q)[0])
 
 
 def orlicz_luxemburg_norm(f: StepFunction, phi: OrliczFunction):
-    """inf{lam > 0 : sum measure * Phi(value/lam) <= 1} by bisection
-    (relative tolerance 1e-10)."""
-    keep = f.ln_values > -np.inf
-    if not np.any(keep):
-        return 0.0
-    m = np.exp(f.ln_measures[keep])
-    v = np.exp(f.ln_values[keep])
-    if not (np.all(np.isfinite(v)) and np.all(m > 0)):
-        raise NumericError("orlicz evaluation needs atoms in linear float range")
-    if phi(1.0) <= phi(0.5):
-        raise ValueError("Phi must be increasing on the probed range")
+    """inf{lam > 0 : sum measure * Phi(value/lam) <= 1}, by the safeguarded
+    Newton iteration of `luxemburg_rows` on ln lam. It stops at a step of at
+    most 1e-12 max(1, |ln lam|) and returns the last Newton iterate, which is
+    exact to a few ulps of ln lam."""
+    return math.exp(luxemburg_rows(f.ln_measures, f.ln_values[None, :], phi)[0][0])
 
-    def constraint(lam):
-        return float(np.sum(m * phi(v / lam)))
 
-    hi = float(np.sum(m * v)) / phi.inverse(1.0)
-    while constraint(hi) > 1.0:
-        hi *= 2.0
-        if hi > 1e300:
-            raise NumericError("luxemburg bracket overflow")
-    lo = hi
-    while constraint(lo) <= 1.0:
-        lo *= 0.5
-        if lo < 1e-300:
-            break
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if constraint(mid) > 1.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-10 * hi:
-            break
-    return hi
+# Both kernels take the atoms' ln measures (k,) and a matrix of ln values
+# (rows, k), -inf marking an atom a row leaves empty, and return ln of each
+# row's norm (-inf for a row with no atom). Every reduction runs along a row,
+# so a row's float does not depend on the other rows of the matrix.
+
+def lorentz_rows(ln_measures, ln_values, p, q):
+    """ln L^{p,q} norm of each row's step function."""
+    order = np.argsort(-ln_values, axis=1)
+    lv = -np.sort(-ln_values, axis=1)
+    ln_b = np.logaddexp.accumulate(ln_measures[order], axis=1)
+    ln_a = np.concatenate((np.full((len(lv), 1), -np.inf), ln_b[:, :-1]), axis=1)
+    qp = q / p
+    with np.errstate(divide="ignore"):
+        # ln(b^qp - a^qp) = qp ln b + ln(1 - e^(-qp (ln b - ln a))); a piece too
+        # thin to move ln b adds nothing
+        ln_diff = qp * ln_b + np.log(-np.expm1(-qp * (ln_b - ln_a)))
+        terms = math.log(p / q) + ln_diff + q * lv
+        mx = terms.max(axis=1, initial=-np.inf)
+        mx = np.where(mx > -np.inf, mx, 0.0)
+        return (mx + np.log(np.exp(terms - mx[:, None]).sum(axis=1))) / q
+
+
+LUXEMBURG_MAX_ITER = 50
+
+
+def luxemburg_rows(ln_measures, ln_values, phi: OrliczFunction):
+    """ln Luxemburg norm of each row's step function, and the number of
+    Newton iterations until every row had converged.
+
+    Solves F(t) = ln sum m Phi(v e^-t) = 0 for t = ln lam by Newton's method,
+    F'(t) = -sum w (p + g u/((1+u) log1p u)) / sum w with w = m Phi(u) and
+    u = v e^-t, starting at the g = 0 root t0 = ln(sum m v^p)/p (exact for
+    pow:p). log1p u is taken as logaddexp(0, ln u), so no atom has to be in
+    linear float range. A row stops at a step of at most 1e-12 max(1, |t|);
+    before that, a step that leaves the bracket kept from the sign of F is
+    replaced by the bracket's midpoint. Converged rows are set aside, and
+    NumericError is raised past LUXEMBURG_MAX_ITER iterations.
+    """
+    p, g = phi.p, phi.g
+    a = ln_measures + p * ln_values  # ln m + p ln v
+    mx = a.max(axis=1, initial=-np.inf)
+    t = np.full(len(mx), -np.inf)
+    idx = np.flatnonzero(mx > -np.inf)  # rows with an atom
+    if not idx.size:
+        return t, 0
+    if idx.size < len(t):
+        a, mx, ln_values = a[idx], mx[idx], ln_values[idx]
+    ta = (mx + np.log(np.exp(a - mx[:, None]).sum(axis=1))) / p
+    if g:
+        a = a + g * ln_values  # ln m + (p + g) ln v
+    lo, hi = -np.inf, np.inf
+    for it in range(1, LUXEMBURG_MAX_ITER + 1):
+        lw = a - ((p + g) * ta)[:, None]  # ln m + (p + g) ln u
+        if g:
+            # ln Phi(u) = (p + g) ln u + g (ln log1p u - ln u); below ln u = -37,
+            # log1p u = u and u / ((1+u) log1p u) = 1 to double precision, so
+            # clamping there keeps every term finite
+            xc = np.maximum(ln_values - ta[:, None], -37.0)
+            ln1pu = np.logaddexp(0.0, xc)
+            lw += g * (np.log(ln1pu) - xc)
+        mx = lw.max(axis=1)
+        w = np.exp(lw - mx[:, None])
+        s = w.sum(axis=1)
+        F = mx + np.log(s)
+        # -F'(t), with u / ((1+u) log1p u) = e^(ln u - log1p u) / log1p u
+        slope = p + g * (w * (np.exp(xc - ln1pu) / ln1pu)).sum(axis=1) / s if g else p
+        step = F / slope
+        tn = ta + step
+        # the stop test comes first: an exact root (F = 0) sits on the bracket
+        done = np.abs(step) <= 1e-12 * np.maximum(1.0, np.abs(ta))
+        any_done = done.any()
+        if any_done and done.all():
+            t[idx] = tn
+            return t, it
+        above = F > 0
+        lo = np.where(above, ta, lo)
+        hi = np.where(above, hi, ta)
+        inside = (lo < tn) & (tn < hi)
+        ta = tn if inside.all() else np.where(inside, tn, 0.5 * (lo + hi))
+        if any_done:
+            t[idx[done]] = tn[done]
+            keep = ~done
+            idx, a, ln_values, ta, lo, hi = (
+                idx[keep], a[keep], ln_values[keep], ta[keep], lo[keep], hi[keep])
+    raise NumericError(f"luxemburg Newton did not converge in {LUXEMBURG_MAX_ITER} iterations")
 
 
 # ---------------------------------------------------------------------------

@@ -56,10 +56,11 @@ def test_h_exhaustive_cap():
 
 
 def test_h_exhaustive_nonfinite_raises():
-    # a level-gap-120 tower overflows the batch evaluator in every subset
+    # a level-gap-250 tower (levels to 1250) overflows the batch evaluator's
+    # linear weights 2^j
     spec = parse_space("lpq:2,4")
-    uni = Universe("cube", [Cube(120 * i, (0,)) for i in range(6)])
-    with np.errstate(all="ignore"), pytest.raises(NumericError, match="non-finite"):
+    uni = Universe("cube", [Cube(250 * i, (0,)) for i in range(6)])
+    with pytest.raises(NumericError, match="non-finite"):
         h_exhaustive(spec, uni, 2)
 
 

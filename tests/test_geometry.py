@@ -85,7 +85,7 @@ def probe_cube_incidence(spec, indices, values, inner_r, scale_exp):
             i = pos.get(cube.ancestor(lev))
             if i is not None:
                 im[a, i] = wr[i]
-    return np.exp(f.ln_measures), im
+    return f.ln_measures, im
 
 
 # ---------------------------------------------------------------------------
@@ -186,9 +186,9 @@ def test_cube_incidence_matches_level_probing(label, rng):
                 for j in map(int, rng.integers(0, 6, 40))]
         indices = sorted(set(pool), key=canonical_key)
         values = rng.uniform(0.1, 3.0, len(indices))
-        meas, im = _cube_incidence(spec, indices, values, 2.0, -0.5)
-        want_meas, want_im = probe_cube_incidence(spec, indices, values, 2.0, -0.5)
-        assert np.array_equal(meas, want_meas)
+        ln_meas, im = _cube_incidence(spec, indices, values, 2.0, -0.5)
+        want_ln_meas, want_im = probe_cube_incidence(spec, indices, values, 2.0, -0.5)
+        assert np.array_equal(ln_meas, want_ln_meas)
         assert np.array_equal(im, want_im)
 
 

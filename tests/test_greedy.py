@@ -18,7 +18,7 @@ from nterm.greedy import (
 )
 from nterm.indices import Cube
 from nterm.sequences import Sequence, indicator
-from nterm.spaces import parse_space
+from nterm.spaces import ambient_norm, parse_space
 
 L1 = parse_space("lp:1")
 L2 = parse_space("lp:2")
@@ -187,19 +187,39 @@ def test_sigma_profile_feasibility_rule(monkeypatch, rng, label):
         assert set(auto) == ({"exact"} if 2**n <= 2 * cap else {"greedy"}), n
 
 
-def test_deep_tower_raises_in_every_engine():
-    # a level-gap-120 tower overflows the batch evaluator; every engine must
-    # raise a typed error rather than return inf or NaN
+def _tower(gap):
+    return Sequence({Cube(gap * i, (0,)): 1.0 + 0.1 * i for i in range(6)}, "cube")
+
+
+def test_gap120_tower_is_finite_in_every_engine():
+    # levels 0..600: the batch inner sums stay in linear float range and the
+    # L^{p,q} outer norm runs in log scale, so every engine agrees with the
+    # scalar path
     spec = parse_space("lpq:2,4")
-    seq = Sequence({Cube(120 * i, (0,)): 1.0 + 0.1 * i for i in range(6)}, "cube")
-    with np.errstate(all="ignore"):
-        for run in (
-            lambda: sigma_profile(seq, spec, method="exact"),
-            lambda: gamma_profile(seq, spec),
-            lambda: sigma_n_exact(seq, 2, spec),
-        ):
-            with pytest.raises(NumericError, match="non-finite"):
-                run()
+    seq = _tower(120)
+    sigma = sigma_profile(seq, spec, method="exact").values
+    gamma = gamma_profile(seq, spec).values
+    assert np.all(np.isfinite(sigma)) and np.all(np.isfinite(gamma))
+    assert np.isfinite(float(sigma_n_exact(seq, 2, spec)))
+    ambient = ambient_norm(spec, seq)
+    assert gamma[0] == pytest.approx(ambient, rel=1e-12)
+    assert sigma[0] == pytest.approx(ambient, rel=1e-12)
+
+
+def test_deep_tower_raises_in_every_engine():
+    # levels 0..1250: the r-th power weights 2^j of _cube_incidence overflow, so
+    # every batch engine raises a typed error while the log-scale scalar path
+    # stays finite
+    spec = parse_space("lpq:2,4")
+    seq = _tower(250)
+    assert math.isfinite(ambient_norm(spec, seq))
+    for run in (
+        lambda: sigma_profile(seq, spec, method="exact"),
+        lambda: gamma_profile(seq, spec),
+        lambda: sigma_n_exact(seq, 2, spec),
+    ):
+        with pytest.raises(NumericError, match="non-finite"):
+            run()
 
 
 def test_profile_flags_greedy_on_large_support(rng):

@@ -27,6 +27,8 @@ def test_extrema_by_popcount(rng):
     sums = _kernels.subset_sums(np.ascontiguousarray(vals))
     mins, maxs = _kernels.extrema_by_popcount(sums, n)
     for k in range(n + 1):
+        cls = [sums[m] for m in range(2**n) if bin(m).count("1") == k]
+        assert mins[k] == min(cls) and maxs[k] == max(cls)
         best = [sum(vals[list(c)]) for c in itertools.combinations(range(n), k)]
         assert math.isclose(mins[k], min(best), rel_tol=1e-12, abs_tol=1e-12)
         assert math.isclose(maxs[k], max(best), rel_tol=1e-12, abs_tol=1e-12)
