@@ -6,6 +6,11 @@ quasi-norms. The combinatorial engines (exact N-term search, greedy tie
 enumeration, exhaustive democracy scans) all run on top of this layer; its
 agreement with the scalar evaluators in spaces.py is asserted by tests.
 
+The square-function spaces (fpr, lpq, orlicz, hyp) take their atoms and the
+(atom x index) incidence of r-th power weights from the cover that
+spaces.square_function records, so the scalar and batch layers share one
+refinement; an incidence past 5e7 entries raises FeasibilityError.
+
 The inner sums (p-th powers, r-th power square-function sums, bmo means) are
 taken in linear float range and checked finite; a support whose weights leave
 that range raises NumericError. The L^{p,q} and Orlicz-Luxemburg outer norms
@@ -22,13 +27,10 @@ from itertools import combinations, islice
 
 import numpy as np
 
-from .errors import NumericError
-from .geometry import cube_parents, rect_grid
+from .errors import FeasibilityError, NumericError
 from .indices import canonical_key
 from .sequences import Sequence
-from .spaces import (
-    LN2, SpaceSpec, bmo_weights, lorentz_rows, luxemburg_rows, square_function,
-)
+from .spaces import SpaceSpec, bmo_weights, lorentz_rows, luxemburg_rows, square_function
 
 # subset rows per block of an exhaustive scan; it bounds the mask matrix, and the
 # block shape fixes the matmul batch shapes, so changing it can move results by an ulp
@@ -94,56 +96,23 @@ def _check_finite(*arrays):
             )
 
 
-def _cube_incidence(spec, indices, values, inner_r, scale_exp):
-    """ln measures of the atoms of the full-support refinement plus the
-    (atom x index) matrix of r-th power weight contributions."""
-    seq = Sequence(dict(zip(indices, values)), spec.universe)
-    f = square_function(seq, inner_r, scale_exp)
-    if f.regions is None:
-        raise AssertionError("cube path must carry regions")
-    atom_cubes = f.regions
-    n = len(indices)
-    pos = {idx: i for i, idx in enumerate(indices)}
-    ln_w = np.array(
-        [scale_exp * idx.log2_measure * LN2 + math.log(abs(values[i]))
-         for i, idx in enumerate(indices)]
-    )
-    with np.errstate(over="ignore"):
-        wr = np.exp(inner_r * ln_w)
-    parent = cube_parents(indices)
-    im = np.zeros((len(atom_cubes), n))
-    for a, cube in enumerate(atom_cubes):
-        i = pos[cube]
-        while i >= 0:
-            im[a, i] = wr[i]
-            i = parent[i]
-    _check_finite(im)
-    return f.ln_measures, im
-
-
-def _rect_incidence(spec, indices, values, inner_r, scale_exp):
-    breaks, slices = rect_grid(indices)
-    shape = tuple(len(b) - 1 for b in breaks)
-    cells = int(np.prod(shape))
-    n = len(indices)
+def _incidence(f, n):
+    """(atom x index) matrix of the r-th power weights of a square function
+    over n support indices, read off the cover square_function records."""
+    ln_wr, grid, bounds, atoms = f.cover
+    cells = math.prod(grid)
     if cells * n > 5 * 10**7:
-        raise NumericError("rectangle incidence too large for the batch engine")
-    im = np.zeros((cells, n))
-    meas = np.array([1.0])
-    for b in breaks:
-        meas = np.multiply.outer(meas, np.diff(b))
-    meas = meas.reshape(-1)
-    grid = np.zeros(shape)
-    for i, (rect, sl) in enumerate(zip(indices, slices)):
-        with np.errstate(over="ignore"):
-            wr = float(np.exp(
-                inner_r * (scale_exp * rect.log2_measure * LN2 + math.log(abs(values[i])))
-            ))
-        grid[...] = 0.0
-        grid[sl] = wr
-        im[:, i] = grid.reshape(-1)
-    _check_finite(meas, im)
-    return meas, im
+        raise FeasibilityError("square-function incidence too large for the batch engine")
+    with np.errstate(over="ignore"):
+        wr = np.exp(ln_wr)
+    cell = np.arange(cells)[atoms]
+    inside = np.ones((len(cell), n), dtype=bool)
+    for c, (lo, hi) in zip(np.unravel_index(cell, grid), bounds):
+        c = c[:, None]
+        inside &= (np.asarray(lo) <= c) & (c < np.asarray(hi))
+    im = np.where(inside, wr, 0.0)
+    _check_finite(im)
+    return im
 
 
 def batch_evaluator(spec: SpaceSpec, indices, values) -> BatchNorm:
@@ -178,41 +147,6 @@ def batch_evaluator(spec: SpaceSpec, indices, values) -> BatchNorm:
                 masks * pwb
             ).sum(axis=1) ** (1.0 / spec.q)
 
-    elif spec.tag == "fpr":
-        ln_meas, im = _cube_incidence(spec, indices, values, spec.r, -spec.s / spec.d - 0.5)
-        meas = np.exp(ln_meas)
-        pr = spec.p / spec.r
-
-        def fn(masks):
-            inner = masks @ im.T
-            return (inner**pr @ meas) ** (1.0 / spec.p)
-
-    elif spec.tag in ("lpq", "orlicz"):
-        ln_meas, im = _cube_incidence(spec, indices, values, 2.0, -0.5)
-        if spec.tag == "lpq":
-            def kernel(ln_v):
-                return lorentz_rows(ln_meas, ln_v, spec.p, spec.q)
-        else:
-            def kernel(ln_v):
-                return luxemburg_rows(ln_meas, ln_v, spec.orlicz)[0]
-
-        def fn(masks):
-            # an atom a subset leaves uncovered has ln value -inf; a norm past
-            # the float range comes out inf and is caught by _check_finite
-            with np.errstate(divide="ignore", over="ignore"):
-                ln_v = 0.5 * np.log(masks @ im.T)
-                return np.exp(np.concatenate([
-                    kernel(ln_v[i : i + KERNEL_ROWS])
-                    for i in range(0, max(len(ln_v), 1), KERNEL_ROWS)]))
-
-    elif spec.tag == "hyp":
-        meas, im = _rect_incidence(spec, indices, values, 2.0, -0.5)
-        p2 = spec.p / 2.0
-
-        def fn(masks):
-            inner = masks @ im.T
-            return (inner**p2 @ meas) ** (1.0 / spec.p)
-
     elif spec.tag == "bmo":
         cmat = np.column_stack(list(bmo_weights(indices, [v**spec.r for v in values])))
         _check_finite(cmat)
@@ -221,6 +155,29 @@ def batch_evaluator(spec: SpaceSpec, indices, values) -> BatchNorm:
             return np.max(masks @ cmat.T, axis=1) ** (1.0 / spec.r)
 
     else:
-        raise AssertionError(spec.tag)
+        r, scale_exp = spec.square_exponents
+        f = square_function(Sequence(dict(zip(indices, values)), spec.universe), r, scale_exp)
+        ln_meas, im = f.ln_measures, _incidence(f, len(indices))
+        if spec.tag in ("fpr", "hyp"):
+            meas, pr = np.exp(ln_meas), spec.p / r
+
+            def fn(masks):
+                inner = masks @ im.T
+                return (inner**pr @ meas) ** (1.0 / spec.p)
+
+        else:
+            def kernel(ln_v):
+                if spec.tag == "lpq":
+                    return lorentz_rows(ln_meas, ln_v, spec.p, spec.q)
+                return luxemburg_rows(ln_meas, ln_v, spec.orlicz)[0]
+
+            def fn(masks):
+                # an atom a subset leaves uncovered has ln value -inf; a norm past
+                # the float range comes out inf and is caught by _check_finite
+                with np.errstate(divide="ignore", over="ignore"):
+                    ln_v = 0.5 * np.log(masks @ im.T)
+                    return np.exp(np.concatenate([
+                        kernel(ln_v[i : i + KERNEL_ROWS])
+                        for i in range(0, max(len(ln_v), 1), KERNEL_ROWS)]))
 
     return BatchNorm(indices, fn)

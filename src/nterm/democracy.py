@@ -67,13 +67,7 @@ def _default_universe_cached(kind, d, size):
         idx = []
         j = 0
         while len(idx) + 2 ** (j * d) <= cap:
-            for flat in range(2 ** (j * d)):
-                k = []
-                rem = flat
-                for _ in range(d):
-                    k.append(rem % 2**j)
-                    rem //= 2**j
-                idx.append(Cube(j, tuple(k)))
+            idx.extend(_same_size_cubes(d, 2 ** (j * d), j))
             j += 1
         return Universe(kind, idx, f"cubes to level {j-1} in [0,1)^{d}")
     if kind == "rect":
@@ -350,8 +344,6 @@ def default_stable_family(spec, n):
         return structured_family(spec, N, fam)
     if spec.tag == "hyp":
         return structured_family(spec, N, "fixed-size-rects")
-    if spec.universe in ("cube", "interval"):
-        return structured_family(spec, N, "same-size-disjoint")
     return structured_family(spec, N, "same-size-disjoint")
 
 

@@ -9,7 +9,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .democracy import family_catalog, h_structured, structured_family
+# h_structured is not called here, but perfbench/tracer.py requires this binding
+from .democracy import (  # noqa: F401
+    _structured_or_none, family_catalog, h_structured, structured_family,
+)
 from .errors import FeasibilityError, ParseError
 from .greedy import aspace_norm, gamma_profile, sigma_profile
 from .indices import Cube, Pair
@@ -244,20 +247,13 @@ def _shifted_family(spec, N, family):
 def _extremal_families(spec, p_N, q_N):
     """(left family at p_N, right family at q_N) per the structured catalog."""
     cat = family_catalog(spec)
-    lows = {f: _try_h(spec, p_N, f) for f in cat}
+    lows = {f: _structured_or_none(spec, p_N, f) for f in cat}
     lows = {f: v for f, v in lows.items() if v is not None}
-    highs = {f: _try_h(spec, q_N, f) for f in cat}
+    highs = {f: _structured_or_none(spec, q_N, f) for f in cat}
     highs = {f: v for f, v in highs.items() if v is not None}
     if not lows or not highs:
         raise FeasibilityError("no structured family feasible at the requested sizes")
     return min(lows, key=lows.get), max(highs, key=highs.get)
-
-
-def _try_h(spec, N, family):
-    try:
-        return h_structured(spec, N, family)
-    except (FeasibilityError, ParseError):
-        return None
 
 
 def cor72_schedule(s, r):

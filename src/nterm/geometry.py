@@ -54,9 +54,10 @@ def _z_order(cubes):
     return sorted(range(len(cubes)), key=cmp_to_key(cmp))
 
 
-def _sweep(cubes):
-    """Z-order of distinct cubes, each cube's parent position (-1 at a root) and
-    the Z-order span [start, end) of each cube's subtree."""
+def cube_sweep(cubes):
+    """Each of the distinct cubes' parent position (-1 at a root) and the
+    Z-order span [start, end) of its subtree: cubes[u] lies in (or is) cubes[v]
+    exactly when start[v] <= start[u] < end[v]."""
     order = _z_order(cubes)
     parent = [-1] * len(cubes)
     start = [0] * len(cubes)
@@ -80,7 +81,7 @@ def cube_parents(cubes):
     strictly contains it, or -1. The cubes must be distinct."""
     if not cubes:
         return []
-    return _sweep(cubes)[0]
+    return cube_sweep(cubes)[0]
 
 
 def _lca(a, b):
@@ -116,18 +117,17 @@ def virtual_tree(intervals):
         if lca not in seen:
             seen.add(lca)
             nodes.append(lca)
-    _, start, end = _sweep(nodes)
+    _, start, end = cube_sweep(nodes)
     return nodes, np.array(start), np.array(end)
 
 
 def rect_grid(rects):
-    """Per-axis breakpoints of the refinement grid of dyadic rectangles, and
-    each rectangle's block of grid cells as a tuple of per-axis slices."""
+    """Per-axis breakpoints of the refinement grid of dyadic rectangles, and per
+    axis the cell bounds (lo, hi) of the rectangles: rectangle i covers the
+    cells lo[i] <= c < hi[i] along that axis."""
     breaks, bounds = [], []
     for axis in range(rects[0].d):
         lohi = [r.intervals[axis].support()[0] for r in rects]
         breaks.append(np.array(sorted({x for pair in lohi for x in pair})))
-        bounds.append(np.searchsorted(breaks[-1], lohi))
-    slices = [tuple(slice(int(b[i, 0]), int(b[i, 1])) for b in bounds)
-              for i in range(len(rects))]
-    return breaks, slices
+        bounds.append(tuple(np.searchsorted(breaks[-1], lohi).T))
+    return breaks, bounds

@@ -25,7 +25,7 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from .errors import FeasibilityError, NumericError, ParseError
-from .geometry import cube_parents, rect_grid, virtual_tree
+from .geometry import cube_sweep, rect_grid, virtual_tree
 from .indices import canonical_key
 from .sequences import Sequence
 
@@ -168,6 +168,12 @@ class SpaceSpec:
         return _UNIVERSE[self.tag]
 
     @property
+    def square_exponents(self):
+        """(inner exponent r, scale exponent) of the square function of the
+        cube and rectangle spaces fpr, lpq, orlicz and hyp."""
+        return (self.r, -self.s / self.d - 0.5) if self.tag == "fpr" else (2.0, -0.5)
+
+    @property
     def rho(self):
         """Declared power-triangle exponent for this space."""
         if self.tag == "lp":
@@ -240,12 +246,19 @@ class StepFunction:
     """Nonnegative step function as disjoint atoms.
 
     Atoms are stored as natural logs of (measure, value); value 0 is ln -inf.
-    regions optionally records the geometric piece behind each atom.
+
+    A square function also records its cover, the tuple (ln_weights, grid,
+    bounds, atoms): support index i, in canonical order, has ln r-th power
+    weight ln_weights[i] and covers a box of the cells of an array of shape
+    grid, the cells lo[i] <= c < hi[i] along each axis, (lo, hi) =
+    bounds[axis]; atom a is the cell atoms[a] of that array flattened (atoms
+    is slice(None) when every cell is an atom, in C order). Atom a's value is
+    then (sum of exp(ln_weights[i]) over the boxes holding its cell)^(1/r).
     """
 
     ln_measures: np.ndarray
     ln_values: np.ndarray
-    regions: list | None = None
+    cover: tuple | None = None
 
     def __post_init__(self):
         self.ln_measures = np.asarray(self.ln_measures, dtype=float)
@@ -254,7 +267,7 @@ class StepFunction:
             raise ValueError("measure/value length mismatch")
 
     @classmethod
-    def from_atoms(cls, measures, values, regions=None):
+    def from_atoms(cls, measures, values):
         m = np.asarray(measures, dtype=float)
         v = np.asarray(values, dtype=float)
         if np.any(m <= 0):
@@ -262,7 +275,7 @@ class StepFunction:
         if np.any(v < 0) or not np.all(np.isfinite(v)):
             raise ValueError("atom values must be finite and nonnegative")
         with np.errstate(divide="ignore"):
-            return cls(np.log(m), np.log(v), regions)
+            return cls(np.log(m), np.log(v))
 
     @property
     def measures(self):
@@ -412,85 +425,75 @@ def luxemburg_rows(ln_measures, ln_values, phi: OrliczFunction):
 
 def square_function(seq: Sequence, inner_exponent, scale_exponent):
     """Step function g = (sum_Q (|Q|^scale |s_Q| chi_Q)^r)^(1/r) over the
-    common refinement of the supporting cubes or rectangles."""
+    common refinement of the supporting cubes or rectangles, with its cover.
+
+    Cube atoms are the support cubes not tiled by their children in the
+    support, in canonical order; each value is a logaddexp chain along the
+    parents, so it stays exact at any depth. Rectangle atoms are the cells of
+    the refinement grid in C order (cells no rectangle covers have value 0);
+    each cell sums only the weights of the rectangles that cover it, so no
+    weight cancels against another.
+    """
     if inner_exponent <= 0:
         raise ValueError("inner exponent must be positive")
     items = [(i, abs(v)) for i, v in seq.entries.items() if v != 0.0]
-    if not items:
-        return StepFunction(np.array([]), np.array([]), [])
-    if seq.kind in ("cube", "interval"):
-        return _square_atoms_cubes(items, inner_exponent, scale_exponent)
-    if seq.kind == "rect":
-        return _square_atoms_rects(items, inner_exponent, scale_exponent)
-    raise TypeError(f"square function needs cube or rectangle indices, got {seq.kind}")
-
-
-def _square_atoms_cubes(items, r, scale_exp):
     items.sort(key=lambda t: canonical_key(t[0]))
-    parent = cube_parents([cube for cube, _ in items])
-    n = len(items)
-    ln_wr = np.empty(n)
-    for i, (cube, mag) in enumerate(items):
-        ln_w = scale_exp * cube.log2_measure * LN2 + math.log(mag)
-        ln_wr[i] = r * ln_w
+    if not items:
+        # an empty cover, so that a batch evaluator over no indices still builds
+        return StepFunction(np.array([]), np.array([]), (np.array([]), (0,), [([], [])], []))
+    if seq.kind not in ("cube", "interval", "rect"):
+        raise TypeError(f"square function needs cube or rectangle indices, got {seq.kind}")
+    r = inner_exponent
+    ln_wr = np.array([r * (scale_exponent * idx.log2_measure * LN2 + math.log(mag))
+                      for idx, mag in items])
+    if seq.kind == "rect":
+        return _square_atoms_rects([rect for rect, _ in items], r, ln_wr)
+    return _square_atoms_cubes([cube for cube, _ in items], r, ln_wr)
+
+
+def _square_atoms_cubes(cubes, r, ln_wr):
+    parent, start, end = cube_sweep(cubes)
+    n = len(cubes)
     chain = np.full(n, -np.inf)
     child_frac = np.zeros(n)
     # canonical order puts every parent before its children
-    for i, (cube, _) in enumerate(items):
+    for i, cube in enumerate(cubes):
         p = parent[i]
         chain[i] = np.logaddexp(chain[p], ln_wr[i]) if p >= 0 else ln_wr[i]
         if p >= 0:
-            child_frac[p] += 2.0 ** (-(cube.j - items[p][0].j) * cube.d)
-    ln_m, ln_v, regions = [], [], []
-    for i, (cube, _) in enumerate(items):
-        frac = child_frac[i]
-        if frac >= 1.0:
-            continue
-        ln_m.append(cube.log2_measure * LN2 + math.log1p(-frac))
-        ln_v.append(chain[i] / r)
-        regions.append(cube)
-    return StepFunction(np.array(ln_m), np.array(ln_v), regions)
+            child_frac[p] += 2.0 ** (-(cube.j - cubes[p].j) * cube.d)
+    ln_m, ln_v, cells = [], [], []
+    for i, cube in enumerate(cubes):
+        if child_frac[i] < 1.0:
+            ln_m.append(cube.log2_measure * LN2 + math.log1p(-child_frac[i]))
+            ln_v.append(chain[i] / r)
+            cells.append(start[i])
+    # the cover's grid is the Z-order of the support: a cube's box is its subtree
+    return StepFunction(np.array(ln_m), np.array(ln_v), (ln_wr, (n,), [(start, end)], cells))
 
 
-def _square_atoms_rects(items, r, scale_exp):
-    d = items[0][0].d
-    if any(rect.d != d for rect, _ in items):
+def _square_atoms_rects(rects, r, ln_wr):
+    d = rects[0].d
+    if any(rect.d != d for rect in rects):
         raise ValueError("mixed rectangle dimensions")
-    if any(iv.j > MAX_RECT_LEVEL for rect, _ in items for iv in rect.intervals):
+    if any(iv.j > MAX_RECT_LEVEL for rect in rects for iv in rect.intervals):
         raise FeasibilityError("rectangle level beyond supported grid range")
-    breaks, slices = rect_grid([rect for rect, _ in items])
-    shape = tuple(len(b) - 1 for b in breaks)
-    cells = int(np.prod(shape))
+    breaks, bounds = rect_grid(rects)
+    grid = tuple(len(b) - 1 for b in breaks)
+    cells = math.prod(grid)
     if cells > GRID_CELL_CAP:
         raise FeasibilityError(f"refinement grid of {cells} cells exceeds cap")
-    diff = np.zeros(tuple(s + 1 for s in shape))
-    for (rect, mag), sl in zip(items, slices):
-        wr = math.exp(r * (scale_exp * rect.log2_measure * LN2 + math.log(mag)))
-        if not math.isfinite(wr):
-            raise NumericError("rectangle weight out of float range")
-        for corner in range(1 << d):
-            sign = 1.0
-            idx = []
-            for axis in range(d):
-                if corner >> axis & 1:
-                    idx.append(sl[axis].stop)
-                    sign = -sign
-                else:
-                    idx.append(sl[axis].start)
-            diff[tuple(idx)] += sign * wr
-    for axis in range(d):
-        diff = np.cumsum(diff, axis=axis)
-    cover = diff[tuple(slice(0, s) for s in shape)]
-    meas = np.array([1.0])
-    for axis in range(d):
-        meas = np.multiply.outer(meas, np.diff(breaks[axis]))
-    meas = meas.reshape(-1)[:]
-    cover = cover.reshape(-1)
-    pos_mask = meas > 0
-    cover = np.maximum(cover[pos_mask], 0.0)
-    meas = meas[pos_mask]
+    with np.errstate(over="ignore"):
+        wr = np.exp(ln_wr)
+    if not np.all(np.isfinite(wr)):
+        raise NumericError("rectangle weight out of float range")
+    sums = np.zeros(grid)
+    for i, w in enumerate(wr):
+        sums[tuple(slice(lo[i], hi[i]) for lo, hi in bounds)] += w
+    meas = reduce(np.multiply.outer, [np.diff(b) for b in breaks]).reshape(-1)
     with np.errstate(divide="ignore"):
-        return StepFunction(np.log(meas), np.log(cover) / r, None)
+        return StepFunction(np.log(meas), np.log(sums.reshape(-1)) / r,
+                            (ln_wr, grid, bounds, slice(None)))
 
 
 # ---------------------------------------------------------------------------
@@ -558,21 +561,14 @@ def space_norm(spec: SpaceSpec, seq: Sequence):
         b = math.fsum(abs(v) ** spec.q for i, v in seq.entries.items()
                       if v != 0.0 and i.component == 1)
         return a ** (1.0 / spec.p) + b ** (1.0 / spec.q)
-    if spec.tag == "fpr":
-        f = square_function(seq, spec.r, -spec.s / spec.d - 0.5)
-        return lp_step_norm(f, spec.p)
-    if spec.tag == "lpq":
-        f = square_function(seq, 2.0, -0.5)
-        return lorentz_step_norm(f, spec.p, spec.q)
-    if spec.tag == "orlicz":
-        f = square_function(seq, 2.0, -0.5)
-        return orlicz_luxemburg_norm(f, spec.orlicz)
-    if spec.tag == "hyp":
-        f = square_function(seq, 2.0, -0.5)
-        return lp_step_norm(f, spec.p)
     if spec.tag == "bmo":
         return bmo_norm(seq, spec.r)
-    raise AssertionError(spec.tag)
+    f = square_function(seq, *spec.square_exponents)
+    if spec.tag == "lpq":
+        return lorentz_step_norm(f, spec.p, spec.q)
+    if spec.tag == "orlicz":
+        return orlicz_luxemburg_norm(f, spec.orlicz)
+    return lp_step_norm(f, spec.p)
 
 
 # ---------------------------------------------------------------------------

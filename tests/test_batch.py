@@ -5,10 +5,10 @@ import pytest
 
 from nterm.batch import batch_evaluator
 from nterm.democracy import default_universe, h_exhaustive, normalized_indicator_norm
-from nterm.errors import NumericError
+from nterm.errors import FeasibilityError, NumericError
 from nterm.experiments import canonical_indices
 from nterm.greedy import sigma_n_exact
-from nterm.indices import Cube
+from nterm.indices import Cube, Rect, interval
 from nterm.sequences import Sequence, indicator
 from nterm.spaces import ambient_norm, parse_space, space_norm
 
@@ -53,6 +53,17 @@ def test_batch_out_of_range_raises():
     idx = [Cube(i, (1,)) for i in range(1, 1200, 80)]
     with pytest.raises(NumericError):
         batch_evaluator(spec, idx, [1.0] * len(idx))
+
+
+def test_batch_incidence_size_cap_is_feasibility():
+    # 512 x 512 grid cells times 1024 rectangles, and 8192 cubes times 8192:
+    # both past the incidence cap, refused before the matrix is allocated
+    rects = [Rect((interval(9, k), interval(0, 0))) for k in range(512)]
+    rects += [Rect((interval(0, 0), interval(9, k))) for k in range(512)]
+    cubes = [Cube(13, (k,)) for k in range(8192)]
+    for label, idx in (("hyp:4,2", rects), ("lpq:2,4", cubes)):
+        with pytest.raises(FeasibilityError, match="incidence"):
+            batch_evaluator(parse_space(label), idx, [1.0] * len(idx))
 
 
 def test_batch_empty_subset_is_zero(any_space, rng):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nterm.batch import _cube_incidence, batch_evaluator
+from nterm.batch import _incidence, batch_evaluator
 from nterm.democracy import h_structured
 from nterm.errors import NumericError
 from nterm.geometry import cube_parents, rect_grid, virtual_tree
@@ -70,22 +70,32 @@ def probe_bmo_cmat(indices, values, r):
     return np.array(rows)
 
 
-def probe_cube_incidence(spec, indices, values, inner_r, scale_exp):
-    f = square_function(Sequence(dict(zip(indices, values)), spec.universe),
-                        inner_r, scale_exp)
+def probe_cube_incidence(indices, values, inner_r, scale_exp):
+    """ln measures of the square-function atoms of canonically ordered cubes,
+    and the (atom x index) matrix of r-th power weights, both found by per-level
+    ancestor probing: the atoms are the cubes their children leave untiled."""
+    parent = probe_parents(indices)
+    child_frac = np.zeros(len(indices))
+    for i, cube in enumerate(indices):
+        if parent[i] >= 0:
+            child_frac[parent[i]] += 2.0 ** (-(cube.j - indices[parent[i]].j) * cube.d)
+    atoms = [i for i in range(len(indices)) if child_frac[i] < 1.0]
+    ln_meas = np.array([indices[i].log2_measure * LN2 + math.log1p(-child_frac[i])
+                        for i in atoms])
     pos = {idx: i for i, idx in enumerate(indices)}
     ln_w = np.array([scale_exp * idx.log2_measure * LN2 + math.log(abs(values[i]))
                      for i, idx in enumerate(indices)])
     wr = np.exp(inner_r * ln_w)
-    im = np.zeros((len(f.regions), len(indices)))
+    im = np.zeros((len(atoms), len(indices)))
     levels = sorted({idx.j for idx in indices})
-    for a, cube in enumerate(f.regions):
-        im[a, pos[cube]] = wr[pos[cube]]
+    for a, i in enumerate(atoms):
+        cube = indices[i]
+        im[a, i] = wr[i]
         for lev in (lv for lv in levels if lv < cube.j):
-            i = pos.get(cube.ancestor(lev))
-            if i is not None:
-                im[a, i] = wr[i]
-    return f.ln_measures, im
+            k = pos.get(cube.ancestor(lev))
+            if k is not None:
+                im[a, k] = wr[k]
+    return ln_meas, im
 
 
 # ---------------------------------------------------------------------------
@@ -186,10 +196,11 @@ def test_cube_incidence_matches_level_probing(label, rng):
                 for j in map(int, rng.integers(0, 6, 40))]
         indices = sorted(set(pool), key=canonical_key)
         values = rng.uniform(0.1, 3.0, len(indices))
-        ln_meas, im = _cube_incidence(spec, indices, values, 2.0, -0.5)
-        want_ln_meas, want_im = probe_cube_incidence(spec, indices, values, 2.0, -0.5)
-        assert np.array_equal(ln_meas, want_ln_meas)
-        assert np.array_equal(im, want_im)
+        r, scale_exp = spec.square_exponents
+        f = square_function(Sequence(dict(zip(indices, values)), "cube"), r, scale_exp)
+        want_ln_meas, want_im = probe_cube_incidence(indices, values, r, scale_exp)
+        assert np.array_equal(f.ln_measures, want_ln_meas)
+        assert np.array_equal(_incidence(f, len(indices)), want_im)
 
 
 # ---------------------------------------------------------------------------
@@ -270,9 +281,10 @@ def test_rect_grid_cells_tile_each_rectangle():
     rects = [Rect((interval(1, 1), interval(0, 0))),
              Rect((interval(3, 2), interval(2, 3))),
              Rect((interval(0, -1), interval(5, 7)))]
-    breaks, slices = rect_grid(rects)
+    breaks, bounds = rect_grid(rects)
     meas = np.multiply.outer(np.diff(breaks[0]), np.diff(breaks[1]))
-    for rect, sl in zip(rects, slices):
+    for i, rect in enumerate(rects):
+        sl = tuple(slice(lo[i], hi[i]) for lo, hi in bounds)
         assert meas[sl].sum() == pytest.approx(rect.measure, rel=1e-15)
         for axis, s in enumerate(sl):
             lo, hi = rect.intervals[axis].support()[0]

@@ -207,7 +207,7 @@ def test_gap120_tower_is_finite_in_every_engine():
 
 
 def test_deep_tower_raises_in_every_engine():
-    # levels 0..1250: the r-th power weights 2^j of _cube_incidence overflow, so
+    # levels 0..1250: the r-th power weights 2^j of batch._incidence overflow, so
     # every batch engine raises a typed error while the log-scale scalar path
     # stays finite
     spec = parse_space("lpq:2,4")

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from nterm.batch import batch_evaluator
 from nterm.experiments import canonical_indices
+from nterm.indices import Cube, Rect, interval
 from nterm.sequences import Sequence
 from nterm.spaces import (
     StepFunction,
@@ -133,7 +134,20 @@ def test_pow_luxemburg_is_one_newton_step(data, p):
         assert orlicz_luxemburg_norm(f, phi) == pytest.approx(lp_step_norm(f, p), rel=rel)
 
 
-BATCH_SPACES = ["orlicz:pow:1.5", "orlicz:powlog:2,1", "orlicz:ulogu", "lpq:2,4", "lpq:4,2"]
+BATCH_SPACES = ["orlicz:pow:1.5", "orlicz:powlog:2,1", "orlicz:ulogu", "lpq:2,4", "lpq:4,2",
+                "hyp:4,2", "hyp:2,2", "fpr:0,2,2,1"]
+DEEP_BATCH_SPACES = ["hyp:4,2", "hyp:2,2", "fpr:0,2,2,1"]
+
+
+def _assert_batch_equals_scalar(spec, idx, vals, seed):
+    n = len(idx)
+    ev = batch_evaluator(spec, idx, vals)
+    vmap = dict(zip(idx, vals))
+    masks = np.random.default_rng(seed).integers(0, 2, size=(12, n)).astype(float)
+    for row, got in zip(masks, ev.norms(masks)):
+        sub = Sequence({ev.indices[i]: vmap[ev.indices[i]] for i in range(n) if row[i]},
+                       spec.universe)
+        assert got == pytest.approx(space_norm(spec, sub), rel=1e-12, abs=0.0)
 
 
 @given(
@@ -144,15 +158,50 @@ BATCH_SPACES = ["orlicz:pow:1.5", "orlicz:powlog:2,1", "orlicz:ulogu", "lpq:2,4"
 @settings(max_examples=60, deadline=None)
 def test_batch_equals_scalar(label, vals, seed):
     spec = parse_space(label)
-    n = len(vals)
-    idx = canonical_indices(spec, n)
-    ev = batch_evaluator(spec, idx, vals)
-    vmap = dict(zip(idx, vals))
-    masks = np.random.default_rng(seed).integers(0, 2, size=(12, n)).astype(float)
-    for row, got in zip(masks, ev.norms(masks)):
-        sub = Sequence({ev.indices[i]: vmap[ev.indices[i]] for i in range(n) if row[i]},
-                       spec.universe)
-        assert got == pytest.approx(space_norm(spec, sub), rel=1e-12, abs=0.0)
+    _assert_batch_equals_scalar(spec, canonical_indices(spec, len(vals)), vals, seed)
+
+
+@st.composite
+def deep_supports(draw, universe, max_level=120, max_size=8):
+    """Distinct dyadic rectangles of [0,1)^2 or intervals of [0,1) with levels
+    to max_level per axis; about half hang below an earlier member, so weights
+    2^(j1 + j2) that differ by far more than 2^53 meet in one cell."""
+    axes = 2 if universe == "rect" else 1
+    members = []
+    for _ in range(draw(st.integers(1, max_size))):
+        if members and draw(st.booleans()):
+            base = draw(st.sampled_from(members))
+            gaps = [draw(st.integers(0, max_level - j)) for j, _ in base]
+            member = tuple((j + g, k << g | draw(st.integers(0, (1 << g) - 1)))
+                           for (j, k), g in zip(base, gaps))
+        else:
+            levels = [draw(st.integers(0, max_level)) for _ in range(axes)]
+            member = tuple((j, draw(st.integers(0, (1 << j) - 1))) for j in levels)
+        if member not in members:
+            members.append(member)
+    if universe == "rect":
+        return [Rect(tuple(interval(j, k) for j, k in m)) for m in members]
+    return [Cube(j, (k,)) for ((j, k),) in members]
+
+
+@given(st.sampled_from(DEEP_BATCH_SPACES), st.data(), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_batch_equals_scalar_on_deep_families(label, data, seed):
+    spec = parse_space(label)
+    idx = data.draw(deep_supports(spec.universe))
+    vals = data.draw(st.lists(st.floats(0.01, 100.0), min_size=len(idx), max_size=len(idx)))
+    _assert_batch_equals_scalar(spec, idx, vals, seed)
+
+
+def test_hyp_weights_far_apart_do_not_cancel():
+    # weights 1 and 2^60 in one cell: summing them into a difference array and
+    # taking its cumsum lost the 1 in the cell beside it, and the norm read 1.0
+    spec = parse_space("hyp:2,2")
+    rects = [Rect((interval(0, 0), interval(0, 0))), Rect((interval(60, 0), interval(0, 0)))]
+    scalar = space_norm(spec, Sequence(dict.fromkeys(rects, 1.0), "rect"))
+    batch = batch_evaluator(spec, rects, [1.0, 1.0]).norms(np.ones((1, 2)))[0]
+    assert scalar == pytest.approx(math.sqrt(2), rel=1e-14)
+    assert batch == pytest.approx(math.sqrt(2), rel=1e-14)
 
 
 def test_luxemburg_beyond_linear_range():
