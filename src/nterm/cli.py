@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .democracy import democracy_profile, property_h_check
-from .errors import FeasibilityError, NumericError, ParseError
+from .errors import FeasibilityError, InputFileError, NumericError, ParseError
 from .experiments import (
     bernstein_verifier,
     cor72_schedule,
@@ -53,6 +53,7 @@ EXPERIMENTS = (
 
 
 def _parse_q(text):
+    text = str(text)
     if text in ("inf", "infinity", "oo"):
         return math.inf
     try:
@@ -63,7 +64,7 @@ def _parse_q(text):
 
 def _parse_n_list(text):
     """N lists: "1,2,3", ranges "1..8", geometric ellipses "2,4,...,1024"."""
-    text = text.strip()
+    text = str(text).strip()
     try:
         if ".." in text and "..." not in text:
             lo, hi = text.split("..")
@@ -74,7 +75,7 @@ def _parse_n_list(text):
             head = [int(p) for p in parts[:i]]
             last = int(parts[i + 1])
             if len(head) < 2:
-                raise ValueError("ellipsis needs two leading terms")
+                raise ParseError("ellipsis needs two leading terms")
             out = list(head)
             ratio = head[1] / head[0] if head[0] else 0.0
             diff = head[1] - head[0]
@@ -84,7 +85,7 @@ def _parse_n_list(text):
                 out.append(int(round(nxt)))
             return [n for n in out if n <= last]
         return [int(p) for p in parts]
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, IndexError, ZeroDivisionError) as exc:
         raise ParseError(f"bad N list {text!r}: {exc}") from exc
 
 
@@ -184,7 +185,10 @@ class Run:
 
 
 def _load_sequence(path, kind, run):
-    run.hash_input(path)
+    try:
+        run.hash_input(path)
+    except OSError as exc:
+        raise InputFileError(f"{path}: {exc.strerror or exc}") from exc
     return Sequence.from_csv(path, kind)
 
 
@@ -194,6 +198,8 @@ def _load_sequence(path, kind, run):
 
 def cmd_norm(args, run):
     if args.space == "lorentz-seq":
+        if len(args.rest) != 3:
+            raise ParseError("norm lorentz-seq needs: <weight> <q> <sequence.csv>")
         w = parse_weight(args.rest[0])
         q = _parse_q(args.rest[1])
         seq = _load_sequence(args.rest[2], "integer", run)
@@ -290,8 +296,18 @@ def cmd_democracy(args, run):
 def _experiment_config(args):
     cfg = {}
     if args.config:
-        with open(args.config) as fh:
-            cfg.update(json.load(fh))
+        try:
+            with open(args.config) as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise InputFileError(f"{args.config}: {exc.strerror or exc}") from exc
+        try:
+            loaded = json.loads(text)
+        except ValueError as exc:
+            raise ParseError(f"bad config {args.config!r}: {exc}") from exc
+        if not isinstance(loaded, dict):
+            raise ParseError(f"config {args.config!r} must be a JSON object")
+        cfg.update(loaded)
     for item in args.set or []:
         key, _, val = item.partition("=")
         cfg[key] = val
@@ -303,6 +319,29 @@ def _experiment_config(args):
     return cfg
 
 
+_REQUIRED = object()
+
+
+def _cfg(cfg, key, conv=str, default=_REQUIRED):
+    """conv of the configured value (or of the default); a missing or malformed
+    value is a ParseError."""
+    if key not in cfg and default is _REQUIRED:
+        raise ParseError(f"experiment needs --{key}")
+    value = cfg.get(key, default)
+    try:
+        return conv(value)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"bad {key} {value!r}: {exc}") from exc
+
+
+def _parse_schedule(value):
+    kind, _, params = str(value).partition(":")
+    if kind not in ("cor72", "cor73"):
+        raise ParseError(f"unknown schedule {value!r} (expected cor72:s,r or cor73:a,b)")
+    a, b = (int(x) for x in params.split(","))
+    return cor72_schedule(a, b) if kind == "cor72" else cor73_schedule(a, b)
+
+
 def cmd_experiment(args, run):
     name = args.name
     cfg = _experiment_config(args)
@@ -310,8 +349,8 @@ def cmd_experiment(args, run):
     rng_seed = args.seed
 
     if name == "nonlinear":
-        res = nonlinearity_demo(float(cfg["p"]), float(cfg["q"]),
-                                float(cfg.get("alpha", 1.0)), int(cfg["K"]))
+        res = nonlinearity_demo(_cfg(cfg, "p", float), _cfg(cfg, "q", float),
+                                _cfg(cfg, "alpha", float, 1.0), _cfg(cfg, "K", int))
         points = res.pop("points_x"), res.pop("points_sum")
         text = _csv_text(["N", "gamma_x"], points[0])
         text2 = _csv_text(["N_J", "gamma_sum"], points[1])
@@ -326,9 +365,9 @@ def cmd_experiment(args, run):
         return 0
 
     if name == "democracy":
-        spec = parse_space(cfg["space"])
-        n_list = _parse_n_list(str(cfg["N"])) if "N" in cfg else [2**k for k in range(1, 11)]
-        prof = democracy_profile(spec, n_list, strategy=cfg.get("strategy", "auto"))
+        spec = parse_space(_cfg(cfg, "space"))
+        n_list = _cfg(cfg, "N", _parse_n_list, "2,4,...,1024")
+        prof = democracy_profile(spec, n_list, strategy=_cfg(cfg, "strategy", str, "auto"))
         rows = [(r.N, r.h_ell, r.h_r, r.method, r.bound_direction) for r in prof.rows]
         text = _csv_text(["N", "h_ell", "h_r", "method", "bound_direction"], rows)
         sys.stdout.write(text)
@@ -346,9 +385,9 @@ def cmd_experiment(args, run):
         return 0
 
     if name == "stechkin":
-        res = stechkin_check(float(cfg.get("alpha", 0.5)), _parse_q(str(cfg.get("q", 1))),
-                             trials=int(cfg.get("trials", 100)),
-                             support_cap=int(cfg.get("support", 64)), seed=rng_seed)
+        res = stechkin_check(_cfg(cfg, "alpha", float, 0.5), _cfg(cfg, "q", _parse_q, 1),
+                             trials=_cfg(cfg, "trials", int, 100),
+                             support_cap=_cfg(cfg, "support", int, 64), seed=rng_seed)
         rows = res.pop("rows")
         res["manifest_hash"] = run.manifest_hash()
         print(_json_text(res))
@@ -360,21 +399,21 @@ def cmd_experiment(args, run):
         return 0
 
     if name in ("jackson", "bernstein", "embedding"):
-        spec = parse_space(cfg["space"])
-        w = parse_weight(cfg.get("weight", "pow:0.5,0"))
-        alpha = float(cfg.get("alpha", 0.5))
-        q = _parse_q(str(cfg.get("q", "inf")))
-        support = int(cfg.get("support", 64))
+        spec = parse_space(_cfg(cfg, "space"))
+        w = parse_weight(_cfg(cfg, "weight", str, "pow:0.5,0"))
+        alpha = _cfg(cfg, "alpha", float, 0.5)
+        q = _cfg(cfg, "q", _parse_q, "inf")
+        support = _cfg(cfg, "support", int, 64)
         if name == "bernstein":
-            n_list = _parse_n_list(str(cfg.get("N", "1..32")))
+            n_list = _cfg(cfg, "N", _parse_n_list, "1..32")
             res = bernstein_verifier(spec, w, alpha, q, n_list, seed=rng_seed,
-                                     trials=int(cfg.get("trials", 20)))
+                                     trials=_cfg(cfg, "trials", int, 20))
         else:
             seqs = standard_test_set(spec, support, rng_seed, critical=alpha + 0.5)
             if name == "jackson":
                 res = jackson_verifier(spec, w, alpha, q, seqs)
             else:
-                res = embedding_verifier(cfg.get("direction", "lorentz-into-G"),
+                res = embedding_verifier(_cfg(cfg, "direction", str, "lorentz-into-G"),
                                          spec, w, alpha, q, seqs)
         rows = res.pop("rows")
         res["manifest_hash"] = run.manifest_hash()
@@ -387,9 +426,9 @@ def cmd_experiment(args, run):
         return 0
 
     if name == "property-h":
-        spec = parse_space(cfg["space"])
-        res = property_h_check(spec, int(cfg.get("n", 8)),
-                               samples=int(cfg.get("samples", 200)),
+        spec = parse_space(_cfg(cfg, "space"))
+        res = property_h_check(spec, _cfg(cfg, "n", int, 8),
+                               samples=_cfg(cfg, "samples", int, 200),
                                rng=np.random.default_rng(rng_seed))
         values = res.pop("values")
         res["manifest_hash"] = run.manifest_hash()
@@ -401,13 +440,10 @@ def cmd_experiment(args, run):
         return 0
 
     if name == "prop71":
-        spec = parse_space(cfg["space"])
-        sched_text = str(cfg.get("schedule", "cor72:2,1"))
-        kind, _, params = sched_text.partition(":")
-        a, b = (int(x) for x in params.split(","))
-        schedule = cor72_schedule(a, b) if kind == "cor72" else cor73_schedule(a, b)
-        n_list = _parse_n_list(str(cfg.get("N", "2..12")))
-        rows = prop71_witness(spec, float(cfg.get("alpha", 1.0)), math.inf,
+        spec = parse_space(_cfg(cfg, "space"))
+        schedule = _cfg(cfg, "schedule", _parse_schedule, "cor72:2,1")
+        n_list = _cfg(cfg, "N", _parse_n_list, "2..12")
+        rows = prop71_witness(spec, _cfg(cfg, "alpha", float, 1.0), math.inf,
                               schedule, n_list, seed=rng_seed)
         header = ["N", "p_N", "q_N", "family_left", "family_right",
                   "g_norm", "a_norm", "ratio"]
@@ -490,8 +526,8 @@ def main(argv=None):
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, TypeError, OSError, KeyError) as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
+    except InputFileError as exc:
+        print(f"cannot read input file {exc}", file=sys.stderr)
         return 2
     except FeasibilityError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)

@@ -5,6 +5,10 @@ class ParseError(ValueError):
     """Unparseable space/weight/sequence input (CLI exit code 2)."""
 
 
+class InputFileError(OSError):
+    """Input file missing or unreadable (CLI exit code 2)."""
+
+
 class FeasibilityError(RuntimeError):
     """Enumeration cap exceeded or construction infeasible (CLI exit code 3)."""
 

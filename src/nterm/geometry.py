@@ -57,7 +57,9 @@ def _z_order(cubes):
 def cube_sweep(cubes):
     """Each of the distinct cubes' parent position (-1 at a root) and the
     Z-order span [start, end) of its subtree: cubes[u] lies in (or is) cubes[v]
-    exactly when start[v] <= start[u] < end[v]."""
+    exactly when start[v] <= start[u] < end[v]. No cubes give empty lists."""
+    if not cubes:
+        return [], [], []
     order = _z_order(cubes)
     parent = [-1] * len(cubes)
     start = [0] * len(cubes)
@@ -74,14 +76,6 @@ def cube_sweep(cubes):
         start[i] = rank
         stack.append(i)
     return parent, start, end
-
-
-def cube_parents(cubes):
-    """For each cube, the position of the smallest cube of the set that
-    strictly contains it, or -1. The cubes must be distinct."""
-    if not cubes:
-        return []
-    return cube_sweep(cubes)[0]
 
 
 def _lca(a, b):

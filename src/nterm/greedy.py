@@ -14,7 +14,7 @@ import numpy as np
 
 from . import _kernels
 from .batch import MASK_CHUNK, batch_evaluator
-from .errors import FeasibilityError
+from .errors import FeasibilityError, ParseError
 from .sequences import Sequence, rearrange
 from .spaces import SpaceSpec, ambient_norm, element_norm
 
@@ -250,9 +250,9 @@ def aspace_norm(
     vanish since e_N = 0 there.
     """
     if alpha <= 0:
-        raise ValueError("alpha must be positive")
+        raise ParseError("alpha must be positive")
     if q <= 0:
-        raise ValueError("q must be positive")
+        raise ParseError("q must be positive")
     base = ambient_norm(spec, seq)
     if profile is None:
         profile = (
@@ -273,7 +273,7 @@ def aspace_norm(
             terms.append((2**k, profile.value(2**k)))
             k += 1
     else:
-        raise ValueError("form must be full or dyadic")
+        raise ParseError("form must be full or dyadic")
     if math.isinf(q):
         tail = max((N**alpha * e for N, e in terms), default=0.0)
     else:

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import ParseError
+
 
 @dataclass(frozen=True, order=True)
 class Cube:
@@ -126,7 +128,10 @@ def parse_index(text, kind):
             return int(text)
         if kind in ("cube", "interval"):
             j, ks = text.split(":")
-            return Cube(int(j), tuple(int(c) for c in ks.split(",")))
+            k = tuple(int(c) for c in ks.split(","))
+            if kind == "interval" and len(k) != 1:
+                raise ValueError("an interval has one coordinate")
+            return Cube(int(j), k)
         if kind == "rect":
             ivs = []
             for part in text.split("|"):
@@ -137,5 +142,5 @@ def parse_index(text, kind):
             comp, k = text.split(":")
             return Pair(_PAIR_NAMES[comp], int(k))
     except (ValueError, KeyError) as exc:
-        raise ValueError(f"cannot parse {kind} index from {text!r}") from exc
-    raise ValueError(f"unknown universe kind {kind!r}")
+        raise ParseError(f"cannot parse {kind} index from {text!r}") from exc
+    raise ParseError(f"unknown universe kind {kind!r}")

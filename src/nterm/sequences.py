@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ParseError
 from .indices import canonical_key, format_index, parse_index
 
 
@@ -68,19 +69,27 @@ class Sequence:
 
     @classmethod
     def from_csv(cls, path, kind="integer"):
+        """Read an index,coefficient CSV; malformed content raises ParseError."""
         entries = {}
         with open(path, newline="") as fh:
             rd = csv.reader(fh)
-            header = next(rd)
+            header = next(rd, [])
             if [h.strip().lower() for h in header[:2]] != ["index", "coefficient"]:
-                raise ValueError(f"bad sequence CSV header: {header!r}")
+                raise ParseError(f"bad sequence CSV header: {header!r}")
             for row in rd:
                 if not row:
                     continue
                 idx = parse_index(row[0], kind)
                 if idx in entries:
-                    raise ValueError(f"duplicate index {row[0]!r}")
-                entries[idx] = float(row[1])
+                    raise ParseError(f"duplicate index {row[0]!r}")
+                if len(row) < 2:
+                    raise ParseError(f"index {row[0]!r} has no coefficient")
+                try:
+                    entries[idx] = float(row[1])
+                except ValueError as exc:
+                    raise ParseError(f"bad coefficient {row[1]!r} at {row[0]!r}") from exc
+        if len({getattr(i, "d", 1) for i in entries}) > 1:
+            raise ParseError("indices of mixed dimensions")
         return cls(entries, kind)
 
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import FeasibilityError, NumericError, ParseError
 from .geometry import cube_sweep, rect_grid, virtual_tree
-from .indices import canonical_key
+from .indices import Cube, Rect, canonical_key
 from .sequences import Sequence
 
 LN2 = math.log(2.0)
@@ -590,9 +590,26 @@ def _spec_key(spec):
     return key
 
 
+def _origin_translate(idx):
+    """The same-size cube or rectangle at offset 0; other indices unchanged."""
+    if isinstance(idx, Cube):
+        return Cube(idx.j, (0,) * idx.d)
+    if isinstance(idx, Rect):
+        return Rect(tuple(Cube(iv.j, (0,) * iv.d) for iv in idx.intervals))
+    return idx
+
+
 def element_norm(spec, idx):
-    """Norm of the canonical basis element at idx."""
-    return _element_norm_cached(_spec_key(spec), idx)
+    """Norm of the canonical basis element at idx.
+
+    Cached per element size: every cube, interval or rectangle shares its
+    entry with its translate at offset 0. A single element's norm never sees
+    its position. Its square function is one atom (or one grid cell) whose
+    measure and value come from the level alone. Its bmo sup is its own mean
+    1. So the translate's norm is the same float, computed by `space_norm` on
+    a real element like any other.
+    """
+    return _element_norm_cached(_spec_key(spec), _origin_translate(idx))
 
 
 def to_raw(spec, seq: Sequence) -> Sequence:

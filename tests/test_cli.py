@@ -1,9 +1,12 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
+import nterm
 from nterm.cli import _parse_n_list, main
 from nterm.sequences import Sequence
 
@@ -159,3 +162,62 @@ def test_format_json(seqfile, capsys):
                  "--N", "1,2"]) == 0
     rows = json.loads(capsys.readouterr().out)
     assert rows[1]["h_r"] == pytest.approx(2**0.5)
+
+
+def test_parse_errors_exit_2(seqfile, tmp_path, capsys):
+    path = seqfile("s.csv", {1: 1.0, 2: 2.0})
+    cases = {
+        "header.csv": "idx,value\n1,1.0\n",
+        "dup.csv": "index,coefficient\n1,1.0\n1,2.0\n",
+        "index.csv": "index,coefficient\nx,1.0\n",
+        "short.csv": "index,coefficient\n1\n",
+        "empty.csv": "",
+    }
+    for name, text in cases.items():
+        (tmp_path / name).write_text(text)
+        assert main(["norm", "lp:2", str(tmp_path / name)]) == 2, name
+    mixed = tmp_path / "mixed.csv"
+    mixed.write_text('index,coefficient\n1:0,1.0\n"2:0,1",1.0\n')
+    assert main(["norm", "lpq:2,4", str(mixed)]) == 2
+    assert main(["democracy", "--space", "lp:2", "--N", "2,..., 8"]) == 2
+    assert main(["democracy", "--space", "lp:2", "--N", "2,4,..."]) == 2
+    assert main(["aspace", "lp:2", path, "--alpha", "0", "--q", "1"]) == 2
+    assert main(["aspace", "lp:2", path, "--alpha", "1", "--q", "-1"]) == 2
+    assert main(["norm", "lorentz-seq", "pow:0.5,0", path]) == 2
+    assert main(["experiment", "nonlinear", "--p", "2", "--q", "1"]) == 2
+    assert main(["experiment", "stechkin", "--set", "trials=many"]) == 2
+    assert main(["experiment", "prop71", "--space", "lpq:2,4",
+                 "--schedule", "cor99:2,1"]) == 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("{not json")
+    assert main(["experiment", "democracy", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.count("parse error:") == 15
+
+
+def test_unreadable_input_exit_2(tmp_path, capsys):
+    missing = str(tmp_path / "missing.csv")
+    assert main(["norm", "lp:2", missing]) == 2
+    assert "cannot read input file" in capsys.readouterr().err
+    assert main(["experiment", "democracy", "--config", missing]) == 2
+    assert "cannot read input file" in capsys.readouterr().err
+
+
+def test_internal_error_is_not_a_parse_error(seqfile, monkeypatch):
+    # a bare ValueError from inside the program is a bug, not bad input
+    path = seqfile("s.csv", {1: 1.0})
+
+    def broken(spec, seq):
+        raise ValueError("internal")
+
+    monkeypatch.setattr("nterm.cli.space_norm", broken)
+    with pytest.raises(ValueError, match="internal"):
+        main(["norm", "lp:2", path])
+    script = ("import sys, nterm.cli as c\n"
+              "def broken(spec, seq):\n    raise ValueError('internal')\n"
+              "c.space_norm = broken\nsys.exit(c.main(sys.argv[1:]))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(os.path.dirname(nterm.__file__)), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script, "norm", "lp:2", path],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode not in (0, 2)
+    assert "Traceback" in proc.stderr and "ValueError: internal" in proc.stderr

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from nterm.batch import _incidence, batch_evaluator
 from nterm.democracy import h_structured
 from nterm.errors import NumericError
-from nterm.geometry import cube_parents, rect_grid, virtual_tree
+from nterm.geometry import cube_sweep, rect_grid, virtual_tree
 from nterm.indices import Cube, Rect, canonical_key, interval
 from nterm.sequences import Sequence
 from nterm.spaces import LN2, bmo_norm, parse_orlicz, parse_space, square_function
@@ -127,23 +127,23 @@ def cube_families(draw, d, max_level=1000, max_size=30, signed=True):
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 3).flatmap(cube_families))
 def test_cube_parents_match_level_probing(cubes):
-    assert cube_parents(cubes) == probe_parents(cubes)
+    assert cube_sweep(cubes)[0] == probe_parents(cubes)
 
 
 @settings(max_examples=60, deadline=None)
 @given(cube_families(2, max_level=6, max_size=40))
 def test_cube_parents_shallow_dense(cubes):
     # shallow sets give many equal levels and many siblings
-    assert cube_parents(cubes) == probe_parents(cubes)
+    assert cube_sweep(cubes)[0] == probe_parents(cubes)
 
 
 def test_cube_parents_edge_cases():
-    assert cube_parents([]) == []
-    assert cube_parents([Cube(3, (-5, 2))]) == [-1]
+    assert cube_sweep([]) == ([], [], [])
+    assert cube_sweep([Cube(3, (-5, 2))])[0] == [-1]
     with pytest.raises(ValueError, match="duplicate"):
-        cube_parents([interval(2, 1), interval(0, 0), interval(2, 1)])
+        cube_sweep([interval(2, 1), interval(0, 0), interval(2, 1)])[0]
     with pytest.raises(ValueError, match="mixed"):
-        cube_parents([Cube(1, (0,)), Cube(1, (0, 0))])
+        cube_sweep([Cube(1, (0,)), Cube(1, (0, 0))])[0]
 
 
 def test_cube_parents_counts_few_ancestor_calls(monkeypatch):
@@ -156,7 +156,7 @@ def test_cube_parents_counts_few_ancestor_calls(monkeypatch):
 
     monkeypatch.setattr(Cube, "ancestor", counted)
     tower = [interval(j, 0) for j in range(0, 1000, 10)]
-    assert cube_parents(tower) == [-1] + list(range(99))
+    assert cube_sweep(tower)[0] == [-1] + list(range(99))
     # one containment test per push and per pop, not one probe per level
     assert 0 < len(calls) <= 2 * len(tower)
 

@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nterm.errors import ParseError
 from nterm.indices import Cube, Pair, Rect, interval
 from nterm.sequences import Sequence
 from nterm.spaces import (
+    MAX_RECT_LEVEL,
     StepFunction,
+    _element_norm_cached,
     ambient_norm,
     element_norm,
     lorentz_step_norm,
@@ -17,6 +21,7 @@ from nterm.spaces import (
     parse_space,
     space_norm,
     square_function,
+    to_raw,
 )
 
 
@@ -303,6 +308,62 @@ def test_element_norms_known_values():
     # lpq: (p/q)^{1/q} |Q|^{1/p-1/2}
     spec = parse_space("lpq:2,4")
     assert element_norm(spec, Cube(6, (1,))) == pytest.approx((2 / 4) ** 0.25, rel=1e-12)
+
+
+ELEMENT_SPACES = ["lpq:2,4", "lpq:4,2", "fpr:0,2,2,1", "fpr:0.3,2,1.5,2", "orlicz:ulogu",
+                  "orlicz:powlog:2,1", "bmo:2", "hyp:4,2", "hyp:2,2"]
+
+
+def _outcome(spec, idx, cached):
+    """The norm of the element at idx, or the type and message it fails with."""
+    try:
+        if cached:
+            return element_norm(spec, idx)
+        return space_norm(spec, Sequence({idx: 1.0}, spec.universe))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def _elements(draw, universe):
+    """A random signed cube (d = 1..3), interval or two-axis rectangle."""
+    if universe == "rect":
+        ivs = []
+        for _ in range(2):
+            j = draw(st.integers(0, MAX_RECT_LEVEL))
+            # rectangle supports are floats: keep the offsets where they are exact
+            bound = 1 << min(j + 1, 52)
+            ivs.append(interval(j, draw(st.integers(-bound, bound))))
+        return Rect(tuple(ivs))
+    d = 1 if universe == "interval" else draw(st.integers(1, 3))
+    j = draw(st.integers(0, 1000))
+    bound = 1 << (j + 1)
+    return Cube(j, tuple(draw(st.integers(-bound, bound)) for _ in range(d)))
+
+
+@pytest.mark.parametrize("label", ELEMENT_SPACES)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_element_norm_is_the_uncached_single_element_norm(label, data):
+    # the cache is keyed by the element's translate at offset 0; every
+    # translate must still get exactly the float (or the error) of its own norm
+    spec = parse_space(label)
+    idx = data.draw(_elements(spec.universe))
+    assert _outcome(spec, idx, cached=True) == _outcome(spec, idx, cached=False)
+
+
+@pytest.mark.parametrize("label, indices", [
+    ("lpq:2,4", [interval(6, k) for k in range(2**6)]),
+    ("orlicz:ulogu", [Cube(3, (a, b)) for a in range(8) for b in range(8)]),
+    ("bmo:2", [interval(5, k) for k in range(2**5)]),
+    ("hyp:4,2", [Rect((interval(3, a), interval(2, b))) for a in range(8) for b in range(4)]),
+])
+def test_one_element_norm_per_size(label, indices):
+    spec = parse_space(label)
+    _element_norm_cached.cache_clear()
+    to_raw(spec, Sequence({i: 1.0 for i in indices}, spec.universe))
+    info = _element_norm_cached.cache_info()
+    assert (info.misses, info.hits) == (1, len(indices) - 1)
 
 
 def test_ambient_norm_normalizes(any_space):
