@@ -1,16 +1,17 @@
 """Command-line front end.
 
 Commands: norm, profile, aspace, democracy, experiment. Global flags --seed,
---out-dir, --format. Every run emits a manifest (parameters, seed, versions,
-input hashes, outputs, wall time); rerunning a manifest's command reproduces
-byte-identical CSV output. Exit codes: 0 ok, 2 parse error,
-3 feasibility/cap, 4 numeric failure.
+--out-dir, --format. Each command returns its stdout text and output files;
+main writes them and a manifest (parameters, seed, versions, input hashes,
+outputs, wall time); rerunning a manifest's command reproduces byte-identical
+CSV output. Exit codes: 0 ok, 2 parse error, 3 feasibility/cap, 4 numeric failure.
 """
 from __future__ import annotations
 
 import argparse
 import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -31,25 +32,16 @@ from .experiments import (
     jackson_verifier,
     nonlinearity_demo,
     prop71_witness,
+    rate_fit,
     standard_test_set,
     stechkin_check,
 )
 from .greedy import aspace_norm, gamma_profile, sigma_profile
+from .indices import format_index
 from .lorentz import lorentz_norm
 from .sequences import Sequence
 from .spaces import parse_space, space_norm
 from .weights import parse_weight
-
-EXPERIMENTS = (
-    "jackson",
-    "bernstein",
-    "stechkin",
-    "embedding",
-    "democracy",
-    "property-h",
-    "prop71",
-    "nonlinear",
-)
 
 
 def _parse_q(text):
@@ -57,25 +49,31 @@ def _parse_q(text):
     if text in ("inf", "infinity", "oo"):
         return math.inf
     try:
-        return float(text)
+        q = float(text)
     except ValueError as exc:
         raise ParseError(f"bad exponent {text!r}") from exc
+    if not q > 0:
+        raise ParseError("q must be positive")
+    return q
 
 
 def _parse_n_list(text):
-    """N lists: "1,2,3", ranges "1..8", geometric ellipses "2,4,...,1024"."""
+    """N lists: "1,2,3", ranges "1..8", geometric ellipses "2,4,...,1024";
+    every N must be at least 1."""
     text = str(text).strip()
     try:
+        parts = [p.strip() for p in text.split(",")]
         if ".." in text and "..." not in text:
             lo, hi = text.split("..")
-            return list(range(int(lo), int(hi) + 1))
-        parts = [p.strip() for p in text.split(",")]
-        if "..." in parts:
+            out = list(range(int(lo), int(hi) + 1))
+        elif "..." in parts:
             i = parts.index("...")
             head = [int(p) for p in parts[:i]]
             last = int(parts[i + 1])
             if len(head) < 2:
                 raise ParseError("ellipsis needs two leading terms")
+            if head[1] <= head[0]:
+                raise ParseError("ellipsis needs increasing leading terms")
             out = list(head)
             ratio = head[1] / head[0] if head[0] else 0.0
             diff = head[1] - head[0]
@@ -83,10 +81,14 @@ def _parse_n_list(text):
             while out[-1] < last:
                 nxt = out[-1] * ratio if geometric else out[-1] + diff
                 out.append(int(round(nxt)))
-            return [n for n in out if n <= last]
-        return [int(p) for p in parts]
-    except (ValueError, IndexError, ZeroDivisionError) as exc:
+            out = [n for n in out if n <= last]
+        else:
+            out = [int(p) for p in parts]
+    except (ValueError, IndexError) as exc:
         raise ParseError(f"bad N list {text!r}: {exc}") from exc
+    if any(n < 1 for n in out):
+        raise ParseError(f"bad N list {text!r}: every N must be at least 1")
+    return out
 
 
 def _atomic_write(path, data):
@@ -99,8 +101,6 @@ def _atomic_write(path, data):
 
 
 def _csv_text(header, rows):
-    import io
-
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(header)
@@ -146,12 +146,6 @@ class Run:
         self.input_hashes = {}
         self.outputs = []
 
-    def hash_input(self, path):
-        h = hashlib.sha256()
-        with open(path, "rb") as fh:
-            h.update(fh.read())
-        self.input_hashes[path] = h.hexdigest()
-
     def manifest_hash(self):
         core = {"command": self.command, "params": self.params, "seed": self.args.seed}
         return hashlib.sha256(
@@ -162,7 +156,6 @@ class Run:
         path = os.path.join(self.args.out_dir, name)
         _atomic_write(path, text)
         self.outputs.append(path)
-        return path
 
     def finish(self):
         manifest = {
@@ -181,20 +174,58 @@ class Run:
         }
         if self.args.out_dir:
             self.emit(f"{self.command.replace(' ', '_')}_manifest.json", _json_text(manifest))
-        return manifest
 
 
 def _load_sequence(path, kind, run):
     try:
-        run.hash_input(path)
+        with open(path, "rb") as fh:
+            run.input_hashes[path] = hashlib.sha256(fh.read()).hexdigest()
     except OSError as exc:
         raise InputFileError(f"{path}: {exc.strerror or exc}") from exc
     return Sequence.from_csv(path, kind)
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each returns (stdout text, [(output file name, text), ...])
 # ---------------------------------------------------------------------------
+
+def _table(args, header, rows):
+    """(stdout, CSV text) of a table: stdout is the CSV, or JSON rows under --format json."""
+    text = _csv_text(header, rows)
+    if args.format == "json":
+        return _json_text([dict(zip(header, row)) for row in rows]), text
+    return text, text
+
+
+def _value_report(args, run, value):
+    value = float(value)
+    summary = _json_text({"value": value, "manifest_hash": run.manifest_hash()})
+    out = summary if args.format == "json" else repr(value) + "\n"
+    return out, [(f"{args.cmd}_summary.json", summary)]
+
+
+def _summary_report(run, stem, res, csv_name, header, rows):
+    """An experiment result printed as JSON, with its rows as a CSV file."""
+    res["manifest_hash"] = run.manifest_hash()
+    summary = _json_text(res)
+    return summary + "\n", [(csv_name, _csv_text(header, rows)),
+                            (f"{stem}_summary.json", summary)]
+
+
+def _democracy_report(args, run, spec, n_list, strategy):
+    prof = democracy_profile(spec, n_list, strategy=strategy)
+    header = ["N", "h_ell", "h_r", "method", "bound_direction"]
+    out, text = _table(args, header, [[getattr(r, k) for k in header] for r in prof.rows])
+    summary = {"checks": prof.checks, "rho": prof.rho, "manifest_hash": run.manifest_hash()}
+    if len(prof.rows) >= 4:
+        for k in ("h_ell", "h_r"):
+            summary[f"{k}_fit"] = rate_fit([(r.N, getattr(r, k)) for r in prof.rows],
+                                           drop_first_decade=False)
+    return out, [("democracy.csv", text), ("democracy_summary.json", _json_text(summary))] + [
+        (f"attaining_N{r.N}_{side}.csv", _csv_text(
+            ["index", "coefficient"], [(format_index(i), 1.0) for i in r.attaining[side]]))
+        for r in prof.rows if r.method == "exhaustive" for side in ("min", "max")]
+
 
 def cmd_norm(args, run):
     if args.space == "lorentz-seq":
@@ -212,15 +243,7 @@ def cmd_norm(args, run):
         seq = _load_sequence(args.rest[0], spec.universe, run)
         value = space_norm(spec, seq)
         run.params = {"space": args.space, "sequence": args.rest[0]}
-    value = float(value)
-    summary = {"value": value, "manifest_hash": run.manifest_hash()}
-    if args.format == "json":
-        print(_json_text(summary), end="")
-    else:
-        print(repr(value))
-    if args.out_dir:
-        run.emit("norm_summary.json", _json_text(summary))
-    return 0
+    return _value_report(args, run, value)
 
 
 def cmd_profile(args, run):
@@ -228,21 +251,11 @@ def cmd_profile(args, run):
     seq = _load_sequence(args.sequence, spec.universe, run)
     run.params = {"space": args.space, "sequence": args.sequence,
                   "kind": args.kind, "n_max": args.n_max, "method": args.method}
-    prof = (
-        sigma_profile(seq, spec, method=args.method)
-        if args.kind == "sigma"
-        else gamma_profile(seq, spec)
-    )
+    prof = (sigma_profile(seq, spec, method=args.method) if args.kind == "sigma"
+            else gamma_profile(seq, spec))
     rows = [(N, v, f) for N, v, f in prof.rows() if args.n_max is None or N <= args.n_max]
-    text = _csv_text(["N", "value", "exact_flag"], rows)
-    if args.format == "json":
-        print(_json_text([{"N": N, "value": float(v), "exact_flag": f}
-                          for N, v, f in rows]), end="")
-    else:
-        sys.stdout.write(text)
-    if args.out_dir:
-        run.emit("profile.csv", text)
-    return 0
+    out, text = _table(args, ["N", "value", "exact_flag"], rows)
+    return out, [("profile.csv", text)]
 
 
 def cmd_aspace(args, run):
@@ -250,47 +263,24 @@ def cmd_aspace(args, run):
     seq = _load_sequence(args.sequence, spec.universe, run)
     run.params = {"space": args.space, "sequence": args.sequence, "alpha": args.alpha,
                   "q": args.q, "kind": args.kind, "form": args.form}
-    value = float(aspace_norm(seq, args.alpha, _parse_q(args.q), spec,
-                              error_kind=args.kind, form=args.form))
-    if args.format == "json":
-        print(_json_text({"value": value, "manifest_hash": run.manifest_hash()}),
-              end="")
-    else:
-        print(repr(value))
-    if args.out_dir:
-        run.emit("aspace_summary.json",
-                 _json_text({"value": value, "manifest_hash": run.manifest_hash()}))
-    return 0
+    return _value_report(args, run, aspace_norm(seq, args.alpha, _parse_q(args.q), spec,
+                                                error_kind=args.kind, form=args.form))
 
 
 def cmd_democracy(args, run):
     spec = parse_space(args.space)
     n_list = _parse_n_list(args.N)
     run.params = {"space": args.space, "N": n_list, "strategy": args.strategy}
-    prof = democracy_profile(spec, n_list, strategy=args.strategy)
-    rows = [(r.N, r.h_ell, r.h_r, r.method, r.bound_direction) for r in prof.rows]
-    text = _csv_text(["N", "h_ell", "h_r", "method", "bound_direction"], rows)
-    if args.format == "json":
-        print(_json_text([{"N": N, "h_ell": float(he), "h_r": float(hr),
-                           "method": m, "bound_direction": b}
-                          for N, he, hr, m, b in rows]), end="")
-    else:
-        sys.stdout.write(text)
-    if args.out_dir:
-        run.emit("democracy.csv", text)
-        run.emit("democracy_summary.json", _json_text(
-            {"checks": prof.checks, "rho": prof.rho,
-             "manifest_hash": run.manifest_hash()}))
-        from .indices import format_index
+    return _democracy_report(args, run, spec, n_list, args.strategy)
 
-        for r in prof.rows:
-            if r.method != "exhaustive":
-                continue
-            for side in ("min", "max"):
-                ind_rows = [(format_index(i), 1.0) for i in r.attaining[side]]
-                run.emit(f"attaining_N{r.N}_{side}.csv",
-                         _csv_text(["index", "coefficient"], ind_rows))
-    return 0
+
+# experiment flags and their argparse types; --config and --set give the same
+# keys as text
+EXPERIMENT_FLAGS = {"space": str, "weight": str, "q": str, "direction": str, "schedule": str,
+                    "N": str, "alpha": float, "p": float, "K": int, "support": int,
+                    "trials": int, "samples": int, "n": int}
+# least accepted value of the integer keys
+LEAST = {"K": 1, "support": 2, "trials": 1, "samples": 1, "n": 1}
 
 
 def _experiment_config(args):
@@ -311,27 +301,26 @@ def _experiment_config(args):
     for item in args.set or []:
         key, _, val = item.partition("=")
         cfg[key] = val
-    for key in ("space", "weight", "alpha", "q", "p", "K", "N", "direction",
-                "schedule", "support", "trials", "samples", "n", "strategy"):
-        val = getattr(args, key.replace("-", "_"), None)
+    for key in EXPERIMENT_FLAGS:
+        val = getattr(args, key)
         if val is not None:
             cfg[key] = val
     return cfg
 
 
-_REQUIRED = object()
-
-
-def _cfg(cfg, key, conv=str, default=_REQUIRED):
-    """conv of the configured value (or of the default); a missing or malformed
-    value is a ParseError."""
-    if key not in cfg and default is _REQUIRED:
+def _cfg(cfg, key, conv=str, default=None):
+    """conv of the configured value (or of the default; None: the key is
+    required); a missing, malformed or out-of-range value is a ParseError."""
+    if key not in cfg and default is None:
         raise ParseError(f"experiment needs --{key}")
     value = cfg.get(key, default)
     try:
-        return conv(value)
+        out = conv(value)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"bad {key} {value!r}: {exc}") from exc
+    if key in LEAST and out < LEAST[key]:
+        raise ParseError(f"{key} must be at least {LEAST[key]}, got {value!r}")
+    return out
 
 
 def _parse_schedule(value):
@@ -342,120 +331,99 @@ def _parse_schedule(value):
     return cor72_schedule(a, b) if kind == "cor72" else cor73_schedule(a, b)
 
 
-def cmd_experiment(args, run):
-    name = args.name
-    cfg = _experiment_config(args)
-    run.params = dict(cfg, name=name)
-    rng_seed = args.seed
+# Runners look the engine functions up as module globals at call time, so a
+# rebinding of nterm.cli.<engine> (a tracer, a test's monkeypatch) reaches them.
 
-    if name == "nonlinear":
-        res = nonlinearity_demo(_cfg(cfg, "p", float), _cfg(cfg, "q", float),
-                                _cfg(cfg, "alpha", float, 1.0), _cfg(cfg, "K", int))
-        points = res.pop("points_x"), res.pop("points_sum")
-        text = _csv_text(["N", "gamma_x"], points[0])
-        text2 = _csv_text(["N_J", "gamma_sum"], points[1])
-        summary = dict(res, manifest_hash=run.manifest_hash())
-        if args.out_dir:
-            run.emit("nonlinear_x.csv", text)
-            run.emit("nonlinear_sum.csv", text2)
-            run.emit("nonlinear_summary.json", _json_text(summary))
-        print(_json_text({k: summary[k] for k in
-                          ("fit_x", "fit_sum", "expected_slope_x", "expected_slope_sum",
-                           "counts_match_inequality", "insufficient_range")}))
-        return 0
-
-    if name == "democracy":
-        spec = parse_space(_cfg(cfg, "space"))
-        n_list = _cfg(cfg, "N", _parse_n_list, "2,4,...,1024")
-        prof = democracy_profile(spec, n_list, strategy=_cfg(cfg, "strategy", str, "auto"))
-        rows = [(r.N, r.h_ell, r.h_r, r.method, r.bound_direction) for r in prof.rows]
-        text = _csv_text(["N", "h_ell", "h_r", "method", "bound_direction"], rows)
-        sys.stdout.write(text)
-        from .experiments import rate_fit
-
-        summary = {"checks": prof.checks, "manifest_hash": run.manifest_hash()}
-        if len(n_list) >= 4:
-            summary["h_ell_fit"] = rate_fit(
-                [(r.N, r.h_ell) for r in prof.rows], drop_first_decade=False)
-            summary["h_r_fit"] = rate_fit(
-                [(r.N, r.h_r) for r in prof.rows], drop_first_decade=False)
-        if args.out_dir:
-            run.emit("democracy.csv", text)
-            run.emit("democracy_summary.json", _json_text(summary))
-        return 0
-
-    if name == "stechkin":
-        res = stechkin_check(_cfg(cfg, "alpha", float, 0.5), _cfg(cfg, "q", _parse_q, 1),
-                             trials=_cfg(cfg, "trials", int, 100),
-                             support_cap=_cfg(cfg, "support", int, 64), seed=rng_seed)
-        rows = res.pop("rows")
-        res["manifest_hash"] = run.manifest_hash()
-        print(_json_text(res))
-        if args.out_dir:
-            run.emit("stechkin_rows.csv",
-                     _csv_text(["support", "ratio"],
-                               [[r["support"], r["ratio"]] for r in rows]))
-            run.emit("stechkin_summary.json", _json_text(res))
-        return 0
-
-    if name in ("jackson", "bernstein", "embedding"):
-        spec = parse_space(_cfg(cfg, "space"))
-        w = parse_weight(_cfg(cfg, "weight", str, "pow:0.5,0"))
-        alpha = _cfg(cfg, "alpha", float, 0.5)
-        q = _cfg(cfg, "q", _parse_q, "inf")
-        support = _cfg(cfg, "support", int, 64)
-        if name == "bernstein":
-            n_list = _cfg(cfg, "N", _parse_n_list, "1..32")
-            res = bernstein_verifier(spec, w, alpha, q, n_list, seed=rng_seed,
-                                     trials=_cfg(cfg, "trials", int, 20))
+def _verifier(args, run, cfg):
+    spec = parse_space(_cfg(cfg, "space"))
+    w = parse_weight(_cfg(cfg, "weight", str, "pow:0.5,0"))
+    alpha = _cfg(cfg, "alpha", float, 0.5)
+    q = _cfg(cfg, "q", _parse_q, "inf")
+    if args.name == "bernstein":
+        res = bernstein_verifier(spec, w, alpha, q, _cfg(cfg, "N", _parse_n_list, "1..32"),
+                                 seed=args.seed, trials=_cfg(cfg, "trials", int, 20))
+    else:
+        seqs = standard_test_set(spec, _cfg(cfg, "support", int, 64), args.seed,
+                                 critical=alpha + 0.5)
+        if args.name == "jackson":
+            res = jackson_verifier(spec, w, alpha, q, seqs)
         else:
-            seqs = standard_test_set(spec, support, rng_seed, critical=alpha + 0.5)
-            if name == "jackson":
-                res = jackson_verifier(spec, w, alpha, q, seqs)
-            else:
-                res = embedding_verifier(_cfg(cfg, "direction", str, "lorentz-into-G"),
-                                         spec, w, alpha, q, seqs)
-        rows = res.pop("rows")
-        res["manifest_hash"] = run.manifest_hash()
-        print(_json_text(res))
-        if args.out_dir:
-            header = sorted(rows[0]) if rows else []
-            run.emit(f"{name}_rows.csv",
-                     _csv_text(header, [[r[k] for k in header] for r in rows]))
-            run.emit(f"{name}_summary.json", _json_text(res))
-        return 0
+            res = embedding_verifier(_cfg(cfg, "direction", str, "lorentz-into-G"),
+                                     spec, w, alpha, q, seqs)
+    rows = res.pop("rows")
+    header = sorted(rows[0]) if rows else []
+    return _summary_report(run, args.name, res, f"{args.name}_rows.csv", header,
+                           [[r[k] for k in header] for r in rows])
 
-    if name == "property-h":
-        spec = parse_space(_cfg(cfg, "space"))
-        res = property_h_check(spec, _cfg(cfg, "n", int, 8),
-                               samples=_cfg(cfg, "samples", int, 200),
-                               rng=np.random.default_rng(rng_seed))
-        values = res.pop("values")
-        res["manifest_hash"] = run.manifest_hash()
-        print(_json_text(res))
-        if args.out_dir:
-            run.emit("property_h_values.csv",
-                     _csv_text(["subset", "value"], list(enumerate(values))))
-            run.emit("property_h_summary.json", _json_text(res))
-        return 0
 
-    if name == "prop71":
-        spec = parse_space(_cfg(cfg, "space"))
-        schedule = _cfg(cfg, "schedule", _parse_schedule, "cor72:2,1")
-        n_list = _cfg(cfg, "N", _parse_n_list, "2..12")
-        rows = prop71_witness(spec, _cfg(cfg, "alpha", float, 1.0), math.inf,
-                              schedule, n_list, seed=rng_seed)
-        header = ["N", "p_N", "q_N", "family_left", "family_right",
-                  "g_norm", "a_norm", "ratio"]
-        text = _csv_text(header, [[r[k] for k in header] for r in rows])
-        sys.stdout.write(text)
-        if args.out_dir:
-            run.emit("prop71.csv", text)
-            run.emit("prop71_summary.json", _json_text(
-                {"rows": rows, "manifest_hash": run.manifest_hash()}))
-        return 0
+def _stechkin(args, run, cfg):
+    res = stechkin_check(_cfg(cfg, "alpha", float, 0.5), _cfg(cfg, "q", _parse_q, 1),
+                         trials=_cfg(cfg, "trials", int, 100),
+                         support_cap=_cfg(cfg, "support", int, 64), seed=args.seed)
+    rows = res.pop("rows")
+    return _summary_report(run, "stechkin", res, "stechkin_rows.csv", ["support", "ratio"],
+                           [[r["support"], r["ratio"]] for r in rows])
 
-    raise ParseError(f"unknown experiment {name!r}; choose from {', '.join(EXPERIMENTS)}")
+
+def _property_h(args, run, cfg):
+    spec = parse_space(_cfg(cfg, "space"))
+    res = property_h_check(spec, _cfg(cfg, "n", int, 8),
+                           samples=_cfg(cfg, "samples", int, 200),
+                           rng=np.random.default_rng(args.seed))
+    values = res.pop("values")
+    return _summary_report(run, "property_h", res, "property_h_values.csv",
+                           ["subset", "value"], list(enumerate(values)))
+
+
+def _democracy(args, run, cfg):
+    return _democracy_report(args, run, parse_space(_cfg(cfg, "space")),
+                             _cfg(cfg, "N", _parse_n_list, "2,4,...,1024"),
+                             _cfg(cfg, "strategy", str, "auto"))
+
+
+def _prop71(args, run, cfg):
+    spec = parse_space(_cfg(cfg, "space"))
+    schedule = _cfg(cfg, "schedule", _parse_schedule, "cor72:2,1")
+    n_list = _cfg(cfg, "N", _parse_n_list, "2..12")
+    rows = prop71_witness(spec, _cfg(cfg, "alpha", float, 1.0), math.inf,
+                          schedule, n_list, seed=args.seed)
+    header = ["N", "p_N", "q_N", "family_left", "family_right", "g_norm", "a_norm", "ratio"]
+    text = _csv_text(header, [[r[k] for k in header] for r in rows])
+    return text, [("prop71.csv", text), ("prop71_summary.json", _json_text(
+        {"rows": rows, "manifest_hash": run.manifest_hash()}))]
+
+
+def _nonlinear(args, run, cfg):
+    res = nonlinearity_demo(_cfg(cfg, "p", float), _cfg(cfg, "q", float),
+                            _cfg(cfg, "alpha", float, 1.0), _cfg(cfg, "K", int))
+    points_x, points_sum = res.pop("points_x"), res.pop("points_sum")
+    summary = dict(res, manifest_hash=run.manifest_hash())
+    brief = {k: summary[k] for k in ("fit_x", "fit_sum", "expected_slope_x",
+                                     "expected_slope_sum", "counts_match_inequality",
+                                     "insufficient_range")}
+    return _json_text(brief) + "\n", [
+        ("nonlinear_x.csv", _csv_text(["N", "gamma_x"], points_x)),
+        ("nonlinear_sum.csv", _csv_text(["N_J", "gamma_sum"], points_sum)),
+        ("nonlinear_summary.json", _json_text(summary)),
+    ]
+
+
+EXPERIMENTS = {"jackson": _verifier, "bernstein": _verifier, "stechkin": _stechkin,
+               "embedding": _verifier, "democracy": _democracy, "property-h": _property_h,
+               "prop71": _prop71, "nonlinear": _nonlinear}
+
+
+def cmd_experiment(args, run):
+    cfg = _experiment_config(args)
+    run.params = dict(cfg, name=args.name)
+    if args.name not in EXPERIMENTS:
+        raise ParseError(
+            f"unknown experiment {args.name!r}; choose from {', '.join(EXPERIMENTS)}")
+    return EXPERIMENTS[args.name](args, run, cfg)
+
+
+COMMANDS = {"norm": cmd_norm, "profile": cmd_profile, "aspace": cmd_aspace,
+            "democracy": cmd_democracy, "experiment": cmd_experiment}
 
 
 def build_parser():
@@ -494,12 +462,8 @@ def build_parser():
     p.add_argument("name")
     p.add_argument("--config")
     p.add_argument("--set", action="append", metavar="KEY=VALUE")
-    for flag in ("space", "weight", "q", "direction", "schedule", "N"):
-        p.add_argument(f"--{flag}")
-    for flag in ("alpha", "p"):
-        p.add_argument(f"--{flag}", type=float)
-    for flag in ("K", "support", "trials", "samples", "n"):
-        p.add_argument(f"--{flag}", type=int)
+    for flag, conv in EXPERIMENT_FLAGS.items():
+        p.add_argument(f"--{flag}", type=conv)
     return ap
 
 
@@ -511,18 +475,13 @@ def main(argv=None):
         return int(exc.code or 0)
     run = Run(args, args.cmd if args.cmd != "experiment" else f"experiment {args.name}")
     try:
-        if args.cmd == "norm":
-            rc = cmd_norm(args, run)
-        elif args.cmd == "profile":
-            rc = cmd_profile(args, run)
-        elif args.cmd == "aspace":
-            rc = cmd_aspace(args, run)
-        elif args.cmd == "democracy":
-            rc = cmd_democracy(args, run)
-        else:
-            rc = cmd_experiment(args, run)
+        out, files = COMMANDS[args.cmd](args, run)
+        sys.stdout.write(out)
+        if args.out_dir:
+            for name, text in files:
+                run.emit(name, text)
         run.finish()
-        return rc
+        return 0
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

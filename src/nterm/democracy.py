@@ -105,7 +105,7 @@ def _same_size_cubes(d, N, level=None):
     return out
 
 
-def structured_family(spec: SpaceSpec, N, family, level=None):
+def structured_family(spec: SpaceSpec, N, family):
     """Index set of the named extremizer family at size N.
 
     Families: same-size-disjoint, different-sizes, nested-tower, full-tree,
@@ -130,7 +130,7 @@ def structured_family(spec: SpaceSpec, N, family, level=None):
     if kind in ("cube", "interval"):
         d = spec.d if kind == "cube" else 1
         if family == "same-size-disjoint":
-            return _same_size_cubes(d, N, level)
+            return _same_size_cubes(d, N)
         if family == "different-sizes":
             return [Cube(i, (1,) + (0,) * (d - 1)) for i in range(1, N + 1)]
         if family == "nested-tower":
@@ -159,7 +159,7 @@ def structured_family(spec: SpaceSpec, N, family, level=None):
         if spec.d != 2:
             raise FeasibilityError("rectangle families are two-dimensional")
         if family == "same-size-disjoint":
-            lev = level if level is not None else max(1, math.ceil(math.log2(N)))
+            lev = max(1, math.ceil(math.log2(N)))
             if N > 2**lev:
                 raise FeasibilityError("too many disjoint rectangles at this level")
             return [Rect((interval(lev, k), interval(0, 0))) for k in range(N)]
@@ -203,9 +203,20 @@ def normalized_indicator_norm(spec, indices):
     return ambient_norm(spec, indicator(indices, spec.universe))
 
 
-def h_structured(spec, N, family, level=None):
+def h_structured(spec, N, family):
     """Democracy value of the canonical representative of a structured family."""
-    return normalized_indicator_norm(spec, structured_family(spec, N, family, level))
+    return normalized_indicator_norm(spec, structured_family(spec, N, family))
+
+
+def structured_values(spec, N):
+    """family -> h_structured at N for each catalog family feasible at N."""
+    vals = {}
+    for family in family_catalog(spec):
+        try:
+            vals[family] = h_structured(spec, N, family)
+        except FeasibilityError:
+            pass
+    return vals
 
 
 def h_exhaustive(spec, universe: Universe, N):
@@ -256,6 +267,8 @@ def democracy_profile(spec, N_list, strategy="auto", universe=None):
     permits). Exhaustive rows are exact over the finite universe; structured
     rows bound h_ell from above and h_r from below.
     """
+    if strategy not in ("auto", "exhaustive", "structured"):
+        raise ParseError(f"unknown strategy {strategy!r} (auto, exhaustive or structured)")
     rows = []
     if universe is None and strategy != "structured":
         universe = default_universe(spec)
@@ -275,12 +288,7 @@ def democracy_profile(spec, N_list, strategy="auto", universe=None):
                 )
             )
         else:
-            vals = {}
-            for family in family_catalog(spec):
-                try:
-                    vals[family] = h_structured(spec, N, family)
-                except FeasibilityError:
-                    continue
+            vals = structured_values(spec, N)
             if not vals:
                 raise FeasibilityError(f"no structured family feasible at N={N}")
             fmin = min(vals, key=vals.get)
@@ -347,18 +355,18 @@ def default_stable_family(spec, n):
     return structured_family(spec, N, "same-size-disjoint")
 
 
-def property_h_check(spec, n, gamma_set=None, samples=200, rng=None, band=PROPERTY_H_BAND):
+def property_h_check(spec, n, gamma_set=None, samples=200, rng=None):
     """Evaluate normalized indicator norms over half-subsets of a size-2^n set.
 
-    Passes when the spread max/min over tested half-subsets is within the
-    declared band. Also reports the ratio band against the structured
+    Passes when the spread max/min over tested half-subsets is within
+    PROPERTY_H_BAND. Also reports the ratio band against the structured
     right-democracy estimate at 2^(n-1).
     """
     rng = rng or np.random.default_rng(0)
     gamma_set = gamma_set if gamma_set is not None else default_stable_family(spec, n)
     size = len(gamma_set)
     if size % 2:
-        raise ValueError("the tested set must have even size")
+        raise ParseError("the tested set must have even size")
     half = size // 2
     subsets = [gamma_set[:half], gamma_set[half:], gamma_set[::2]]
     total = math.comb(size, half)
@@ -369,9 +377,7 @@ def property_h_check(spec, n, gamma_set=None, samples=200, rng=None, band=PROPER
             pick = rng.choice(size, size=half, replace=False)
             subsets.append([gamma_set[i] for i in sorted(pick)])
     vals = np.array([normalized_indicator_norm(spec, s) for s in subsets])
-    href = max(
-        _structured_or_none(spec, half, fam) or 0.0 for fam in family_catalog(spec)
-    )
+    href = max(structured_values(spec, half).values(), default=0.0)
     spread = float(vals.max() / vals.min())
     return {
         "n": n,
@@ -382,16 +388,9 @@ def property_h_check(spec, n, gamma_set=None, samples=200, rng=None, band=PROPER
         "spread": spread,
         "h_r_reference": href,
         "ratio_to_reference": [float(vals.min() / href), float(vals.max() / href)],
-        "passed": spread <= band,
+        "passed": spread <= PROPERTY_H_BAND,
         "values": vals.tolist(),
     }
-
-
-def _structured_or_none(spec, N, family):
-    try:
-        return h_structured(spec, N, family)
-    except (FeasibilityError, ParseError):
-        return None
 
 
 # ---------------------------------------------------------------------------

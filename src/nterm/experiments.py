@@ -10,9 +10,7 @@ from fractions import Fraction
 import numpy as np
 
 # h_structured is not called here, but perfbench/tracer.py requires this binding
-from .democracy import (  # noqa: F401
-    _structured_or_none, family_catalog, h_structured, structured_family,
-)
+from .democracy import h_structured, structured_family, structured_values  # noqa: F401
 from .errors import FeasibilityError, ParseError
 from .greedy import aspace_norm, gamma_profile, sigma_profile
 from .indices import Cube, Pair
@@ -22,6 +20,9 @@ from .spaces import SpaceSpec, ambient_norm, parse_space
 from .weights import Weight, classify
 
 TAIL_FACTORS = (0.6, 1.1, 2.1)  # power-tail decay relative to the critical exponent
+TWO_BLOCK_GRID = 48  # geometric grid of k in the two-block witness norms
+TWO_BLOCK_SAMPLES = 4  # sampled tie choices per k in the two-block gamma
+RATE_GRID = 40  # geometric grid points of the non-linearity rate fits
 
 
 # ---------------------------------------------------------------------------
@@ -37,7 +38,7 @@ class RateFit:
     n_points: int
 
 
-def rate_fit(points, fit_range=None, drop_first_decade=True):
+def rate_fit(points, drop_first_decade=True):
     """Least-squares line on (log N, log value); the slope is the exponent.
 
     Nonpositive values are excluded (reported through n_points); by default
@@ -45,13 +46,11 @@ def rate_fit(points, fit_range=None, drop_first_decade=True):
     fit below 4 points.
     """
     pts = [(float(N), float(v)) for N, v in points if v > 0 and N > 0]
-    if fit_range is None and drop_first_decade and pts:
+    if drop_first_decade and pts:
         lo = min(N for N, _ in pts) * 10.0
         trimmed = [t for t in pts if t[0] >= lo]
         if len(trimmed) >= 4:
             pts = trimmed
-    if fit_range is not None:
-        pts = [t for t in pts if fit_range[0] <= t[0] <= fit_range[1]]
     if len(pts) < 4:
         raise FeasibilityError("rate fit needs at least 4 positive points")
     x = np.log([N for N, _ in pts])
@@ -187,11 +186,13 @@ def embedding_verifier(direction, spec, w: Weight, alpha, q, seqs):
     }
 
 
-def stechkin_check(alpha, q, trials=100, support_cap=64, seed=0, spec=None):
+def stechkin_check(alpha, q, trials=100, support_cap=64, seed=0):
     """Ratio band of the approximation-space norm against the classical
     Lorentz norm with 1/tau = alpha + 1/2 on random vectors (orthonormal
     setting: l^2 with its canonical basis)."""
-    spec = spec or parse_space("lp:2")
+    if alpha <= 0:
+        raise ParseError("alpha must be positive")
+    spec = parse_space("lp:2")
     tau = 1.0 / (alpha + 0.5)
     w = Weight.power_log(1.0 / tau)
     rng = np.random.default_rng(seed)
@@ -246,11 +247,8 @@ def _shifted_family(spec, N, family):
 
 def _extremal_families(spec, p_N, q_N):
     """(left family at p_N, right family at q_N) per the structured catalog."""
-    cat = family_catalog(spec)
-    lows = {f: _structured_or_none(spec, p_N, f) for f in cat}
-    lows = {f: v for f, v in lows.items() if v is not None}
-    highs = {f: _structured_or_none(spec, q_N, f) for f in cat}
-    highs = {f: v for f, v in highs.items() if v is not None}
+    lows = structured_values(spec, p_N)
+    highs = structured_values(spec, q_N)
     if not lows or not highs:
         raise FeasibilityError("no structured family feasible at the requested sizes")
     return min(lows, key=lows.get), max(highs, key=highs.get)
@@ -306,7 +304,7 @@ def prop71_witness(spec, alpha, tau, schedule, N_list, support_cap=100_000, seed
     return rows
 
 
-def _two_block_norms(spec, left, right, alpha, rng, grid_size=48, n_samples=4):
+def _two_block_norms(spec, left, right, alpha, rng):
     """sup_k k^alpha gamma_k and sup_k k^alpha sigma_k (plus the base norm)
     for 2*1_left + 1_right, via corner/sampled tie choices for gamma and a
     split grid of structured kept-sets for sigma."""
@@ -322,7 +320,7 @@ def _two_block_norms(spec, left, right, alpha, rng, grid_size=48, n_samples=4):
         return ambient_norm(spec, Sequence(entries, spec.universe))
 
     full = res_norm((0, pn), 0)
-    ks = sorted(set(np.unique(np.round(np.geomspace(1, n, grid_size))).astype(int).tolist())
+    ks = sorted(set(np.unique(np.round(np.geomspace(1, n, TWO_BLOCK_GRID))).astype(int).tolist())
                 | {pn, qn, n})
     g_sup = a_sup = 0.0
     for k in ks:
@@ -330,7 +328,7 @@ def _two_block_norms(spec, left, right, alpha, rng, grid_size=48, n_samples=4):
             continue
         if k <= pn:
             cands = [(k, pn), (0, pn - k)]
-            for _ in range(n_samples):
+            for _ in range(TWO_BLOCK_SAMPLES):
                 kept = set(rng.choice(pn, size=k, replace=False).tolist())
                 cands.append([left[i] for i in range(pn) if i not in kept])
             vals = [res_norm(c, 0) for c in cands]
@@ -388,7 +386,7 @@ class StreamTail:
         return float(self.partial[self.K] - self.partial[m] + self.tail_mid)
 
 
-def nonlinearity_demo(p, q, alpha, K, n_grid=40):
+def nonlinearity_demo(p, q, alpha, K):
     """Greedy-error decay of the two power-tail streams and of their sum in
     the direct-sum space, with exact block counts and log-log rate fits.
 
@@ -442,13 +440,13 @@ def nonlinearity_demo(p, q, alpha, K, n_grid=40):
         except FeasibilityError:
             return None
 
-    Ns = np.unique(np.round(np.geomspace(1, max(K // 10, 2), n_grid)).astype(int))
+    Ns = np.unique(np.round(np.geomspace(1, max(K // 10, 2), RATE_GRID)).astype(int))
     gx = np.array([xs.tail_from(int(N)) ** (1 / p) for N in Ns])
     gy = np.array([ys.tail_from(int(N)) ** (1 / q) for N in Ns])
     fit_x = fit_or_none(zip(Ns, gx))
     fit_y = fit_or_none(zip(Ns, gy))
 
-    Js = np.unique(np.round(np.geomspace(2, J_max, n_grid)).astype(int))
+    Js = np.unique(np.round(np.geomspace(2, J_max, RATE_GRID)).astype(int))
     NJ = np.array([cutoffs[j] + j for j in Js])
     gxy = np.array(
         [xs.tail_from(cutoffs[j]) ** (1 / p) + ys.tail_from(int(j)) ** (1 / q) for j in Js]

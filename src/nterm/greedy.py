@@ -239,7 +239,6 @@ def aspace_norm(
     spec,
     error_kind="sigma",
     form="full",
-    profile=None,
     method="auto",
 ):
     """Approximation-space quasi-norm built from the sigma or gamma profile.
@@ -254,12 +253,11 @@ def aspace_norm(
     if q <= 0:
         raise ParseError("q must be positive")
     base = ambient_norm(spec, seq)
-    if profile is None:
-        profile = (
-            sigma_profile(seq, spec, method=method)
-            if error_kind == "sigma"
-            else gamma_profile(seq, spec)
-        )
+    profile = (
+        sigma_profile(seq, spec, method=method)
+        if error_kind == "sigma"
+        else gamma_profile(seq, spec)
+    )
     n = len(profile.values) - 1
     if n <= 0:
         return base

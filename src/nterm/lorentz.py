@@ -53,7 +53,7 @@ def lorentz_norm_dyadic(seq: Sequence, w: Weight, q, kappa=2):
     return math.fsum(t**q for t in terms) ** (1.0 / q)
 
 
-def fundamental_function_check(w: Weight, q, N_list, indicator_kind="integer"):
+def fundamental_function_check(w: Weight, q, N_list):
     """Ratios ||1_Gamma||_{l^q_eta} / eta(N) for |Gamma| = N in N_list.
 
     For q = inf the ratio is exactly 1. For finite q the ratio sits in a
@@ -68,7 +68,7 @@ def fundamental_function_check(w: Weight, q, N_list, indicator_kind="integer"):
         warn = not cls.positive_dilation
     rows = []
     for N in N_list:
-        seq = Sequence({k: 1.0 for k in range(1, N + 1)}, indicator_kind)
+        seq = Sequence({k: 1.0 for k in range(1, N + 1)}, "integer")
         ratio = lorentz_norm(seq, w, q) / w(N)
         rows.append({"N": N, "ratio": ratio, "weight_warning": warn})
     return rows

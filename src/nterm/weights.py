@@ -144,15 +144,18 @@ def ratio_sup(w, m, K=DEFAULT_RANGE_CAP):
     return float(np.max(w(k) / w(m * k)))
 
 
-def lower_dilation_index(w, M=DILATION_M_MAX, K=DEFAULT_RANGE_CAP):
-    """max over 2 <= m <= M of log ratio_sup(m) / (-log m)."""
-    if M < 2:
-        raise ValueError("M must be >= 2")
-    best = -math.inf
-    for m in range(2, M + 1):
-        r = ratio_sup(w, m, K)
-        best = max(best, math.log(r) / (-math.log(m)))
-    return max(best, 0.0)
+def _ratio_sups(w, K):
+    """m -> ratio_sup(w, m, K) for 2 <= m <= DILATION_M_MAX."""
+    return {m: ratio_sup(w, m, K) for m in range(2, DILATION_M_MAX + 1)}
+
+
+def _dilation_index(ratios):
+    return max(max(math.log(r) / (-math.log(m)) for m, r in ratios.items()), 0.0)
+
+
+def lower_dilation_index(w, K=DEFAULT_RANGE_CAP):
+    """max over 2 <= m <= DILATION_M_MAX of log ratio_sup(m) / (-log m), at least 0."""
+    return _dilation_index(_ratio_sups(w, K))
 
 
 @dataclass
@@ -172,7 +175,7 @@ class Classification:
         return self.kappa is not None
 
 
-def classify(w, K=DEFAULT_RANGE_CAP, margin=None):
+def classify(w, K=DEFAULT_RANGE_CAP):
     """Classify a weight on the range 1..K.
 
     Raises NumericError naming the first violation if the weight is not
@@ -191,29 +194,15 @@ def classify(w, K=DEFAULT_RANGE_CAP, margin=None):
         )
     half = Keff // 2
     doubling = float(np.max(vals[2 * np.arange(1, half + 1) - 1] / vals[: half])) if half else 1.0
-    table = {m: ratio_sup(w, m, Keff) for m in (2, 3, 4, 8, 16) if _fits(w, m, Keff)}
-    kappa = None
-    for m in range(2, DILATION_M_MAX + 1):
-        if not _fits(w, m, Keff):
-            break
-        bar = margin if margin is not None else strict_margin(m, Keff)
-        if ratio_sup(w, m, Keff) < 1.0 - bar:
-            kappa = m
-            break
-    idx = lower_dilation_index(w, K=Keff) if _fits(w, 2, Keff) else 0.0
+    ratios = _ratio_sups(w, Keff) if Keff >= 2 else {}
     return Classification(
         doubling_constant=doubling,
-        ratio_table=table,
-        dilation_index=idx,
-        kappa=kappa,
+        ratio_table={m: ratios[m] for m in (2, 3, 4, 8, 16) if m in ratios},
+        dilation_index=_dilation_index(ratios) if ratios else 0.0,
+        kappa=next((m for m, r in ratios.items() if r < 1.0 - strict_margin(m, Keff)), None),
         monotone=True,
         range_cap=Keff,
     )
-
-
-def _fits(w, m, K):
-    lim = w.range_limit
-    return lim is None or lim >= m
 
 
 def geometric_sum_check(w, kappa, n_max):

@@ -8,6 +8,7 @@ import pytest
 
 import nterm
 from nterm.cli import _parse_n_list, main
+from nterm.errors import ParseError
 from nterm.sequences import Sequence
 
 
@@ -28,6 +29,9 @@ def test_parse_n_list():
     assert _parse_n_list("2,4,...,32") == [2, 4, 8, 16, 32]
     assert _parse_n_list("2,4,...,1024") == [2**k for k in range(1, 11)]
     assert _parse_n_list("5,8,...,17") == [5, 8, 11, 14, 17]
+    for bad in ("0,1,2", "-1..3", "2,2,...,8", "4,2,...,1"):
+        with pytest.raises(ParseError):
+            _parse_n_list(bad)
 
 
 def test_norm_lp(seqfile, capsys):
@@ -191,7 +195,20 @@ def test_parse_errors_exit_2(seqfile, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("{not json")
     assert main(["experiment", "democracy", "--config", str(cfg)]) == 2
-    assert capsys.readouterr().err.count("parse error:") == 15
+    # out-of-range values
+    assert main(["experiment", "democracy", "--space", "lp:2", "--N", "2,4",
+                 "--set", "strategy=bogus"]) == 2
+    assert main(["experiment", "property-h", "--space", "lp:2", "--n", "0"]) == 2
+    assert main(["experiment", "property-h", "--space", "lp:2", "--n", "-1"]) == 2
+    assert main(["norm", "lorentz-seq", "pow:0.5,0", "-1", path]) == 2
+    assert main(["experiment", "stechkin", "--trials", "0"]) == 2
+    assert main(["experiment", "stechkin", "--support", "1"]) == 2
+    assert main(["experiment", "jackson", "--space", "lp:2", "--support", "0"]) == 2
+    assert main(["experiment", "stechkin", "--alpha", "-0.5"]) == 2
+    assert main(["experiment", "bernstein", "--space", "lp:2", "--N", "0"]) == 2
+    assert main(["experiment", "nonlinear", "--p", "2", "--q", "1", "--K", "0"]) == 2
+    assert main(["democracy", "--space", "lp:2", "--N", "2,2,...,8"]) == 2
+    assert capsys.readouterr().err.count("parse error:") == 26
 
 
 def test_unreadable_input_exit_2(tmp_path, capsys):
@@ -221,3 +238,62 @@ def test_internal_error_is_not_a_parse_error(seqfile, monkeypatch):
                           capture_output=True, text=True, env=env)
     assert proc.returncode not in (0, 2)
     assert "Traceback" in proc.stderr and "ValueError: internal" in proc.stderr
+
+
+def test_democracy_commands_share_one_report(tmp_path, capsys):
+    # exhaustive rows at N = 1..3 and a structured row at N = 4 (C(64, 4) > cap)
+    outs = {}
+    for cmd in (["democracy", "--space", "lp:2", "--N", "1..4", "--strategy", "auto"],
+                ["experiment", "democracy", "--space", "lp:2", "--N", "1..4"]):
+        out = str(tmp_path / cmd[0])
+        stdout = {}
+        for fmt in ("csv", "json"):
+            assert main(["--format", fmt, "--out-dir", out] + cmd) == 0
+            stdout[fmt] = capsys.readouterr().out
+        files = {}
+        for name in sorted(os.listdir(out)):
+            if not name.endswith("_manifest.json"):
+                files[name] = open(os.path.join(out, name)).read()
+        summary = json.loads(files.pop("democracy_summary.json"))
+        summary.pop("manifest_hash")
+        outs[cmd[0]] = stdout, files, summary
+    assert outs["democracy"] == outs["experiment"]
+    stdout, files, summary = outs["democracy"]
+    assert stdout["csv"] == files["democracy.csv"]
+    assert [r["N"] for r in json.loads(stdout["json"])] == [1, 2, 3, 4]
+    assert sorted(files) == ["attaining_N1_max.csv", "attaining_N1_min.csv",
+                             "attaining_N2_max.csv", "attaining_N2_min.csv",
+                             "attaining_N3_max.csv", "attaining_N3_min.csv", "democracy.csv"]
+    assert {"checks", "rho", "h_ell_fit", "h_r_fit"} <= set(summary)
+
+
+class Reached(Exception):
+    pass
+
+
+@pytest.mark.parametrize("engine, argv", [
+    ("space_norm", ["norm", "lp:2", "S"]),
+    ("lorentz_norm", ["norm", "lorentz-seq", "pow:0.5,0", "inf", "S"]),
+    ("sigma_profile", ["profile", "lp:2", "S", "sigma"]),
+    ("gamma_profile", ["profile", "lp:2", "S", "gamma"]),
+    ("aspace_norm", ["aspace", "lp:2", "S", "--alpha", "1", "--q", "1"]),
+    ("democracy_profile", ["democracy", "--space", "lp:2", "--N", "2"]),
+    ("jackson_verifier", ["experiment", "jackson", "--space", "lp:2"]),
+    ("bernstein_verifier", ["experiment", "bernstein", "--space", "lp:2"]),
+    ("embedding_verifier", ["experiment", "embedding", "--space", "lp:2"]),
+    ("stechkin_check", ["experiment", "stechkin"]),
+    ("democracy_profile", ["experiment", "democracy", "--space", "lp:2"]),
+    ("property_h_check", ["experiment", "property-h", "--space", "lp:2"]),
+    ("prop71_witness", ["experiment", "prop71", "--space", "lp:2"]),
+    ("nonlinearity_demo", ["experiment", "nonlinear", "--p", "2", "--q", "1", "--K", "10"]),
+])
+def test_runners_call_engines_through_module_globals(engine, argv, seqfile, monkeypatch):
+    # a rebinding of nterm.cli.<engine> (as a tracer does) must reach the command
+    path = seqfile("s.csv", {1: 1.0, 2: 2.0})
+
+    def patched(*args, **kwargs):
+        raise Reached(engine)
+
+    monkeypatch.setattr(f"nterm.cli.{engine}", patched)
+    with pytest.raises(Reached):
+        main([path if a == "S" else a for a in argv])

@@ -14,7 +14,7 @@ from nterm.democracy import (
     property_h_check,
     structured_family,
 )
-from nterm.errors import FeasibilityError, NumericError
+from nterm.errors import FeasibilityError, NumericError, ParseError
 from nterm.indices import Cube
 from nterm.spaces import parse_space
 
@@ -158,7 +158,7 @@ def test_property_h_examples(rng):
 
 
 def test_property_h_even_size_required():
-    with pytest.raises(ValueError):
+    with pytest.raises(ParseError):
         property_h_check(L2, 3, gamma_set=[1, 2, 3])
 
 

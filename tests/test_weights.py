@@ -72,6 +72,24 @@ def test_classify_examples():
     assert c.dilation_index > 0
 
 
+def test_classify_evaluates_each_ratio_once(monkeypatch):
+    import nterm.weights as weights
+
+    calls = []
+
+    def counted(w, m, K=weights.DEFAULT_RANGE_CAP):
+        calls.append(m)
+        return ratio_sup(w, m, K)
+
+    w = Weight.power_log(0.5)
+    want = classify(w, 10**5)
+    monkeypatch.setattr(weights, "ratio_sup", counted)
+    assert classify(w, 10**5) == want
+    assert sorted(calls) == list(range(2, weights.DILATION_M_MAX + 1))
+    assert want.ratio_table == {m: ratio_sup(w, m, 10**5) for m in (2, 3, 4, 8, 16)}
+    assert want.dilation_index == lower_dilation_index(w, K=10**5)
+
+
 def test_classify_ratio_table_bounded():
     c = classify(Weight.power_log(0.3), 10**4)
     assert all(v <= 1.0 + 1e-15 for v in c.ratio_table.values())
