@@ -19,11 +19,17 @@ spaces.lorentz_rows (closed form per rearranged piece) and
 spaces.luxemburg_rows (safeguarded Newton on ln lam, step tolerance
 1e-12 max(1, |ln lam|)), so lpq and orlicz rows reach any value range the inner
 sums do. fpr and hyp keep their linear outer sums.
+
+BatchNorm.norms casts and evaluates its mask matrix KERNEL_ROWS rows at a time,
+so the float temporaries of every space (the mask slice, the inner sums and
+their outer transform) are bounded by KERNEL_ROWS x (support + atoms) floats
+however many rows are asked for. MASK_CHUNK only fixes the blocks of an
+exhaustive scan: one boolean mask matrix of that many combinations at a time.
 """
 from __future__ import annotations
 
 import math
-from itertools import combinations, islice
+from itertools import chain, combinations, islice
 
 import numpy as np
 
@@ -32,11 +38,11 @@ from .indices import canonical_key
 from .sequences import Sequence
 from .spaces import SpaceSpec, bmo_weights, lorentz_rows, luxemburg_rows, square_function
 
-# subset rows per block of an exhaustive scan; it bounds the mask matrix, and the
-# block shape fixes the matmul batch shapes, so changing it can move results by an ulp
+# subset rows per block of an exhaustive scan, held as one boolean mask matrix
 MASK_CHUNK = 1 << 16
-# rows per call of the log-scale kernels: their temporaries then stay in cache;
-# each row's float is independent of the rows around it
+# rows per evaluation slice in BatchNorm.norms: it bounds the memory of every
+# evaluation and keeps the log-scale kernels' temporaries in cache; the slice
+# shape fixes the matmul batch shapes, so changing it can move results by an ulp
 KERNEL_ROWS = 1 << 12
 
 
@@ -55,7 +61,9 @@ class BatchNorm:
         masks = np.asarray(masks)
         if masks.ndim != 2 or masks.shape[1] != len(self.indices):
             raise ValueError("mask matrix shape mismatch")
-        out = self._fn(masks.astype(float))
+        out = np.empty(len(masks))
+        for i in range(0, len(masks), KERNEL_ROWS):
+            out[i : i + KERNEL_ROWS] = self._fn(masks[i : i + KERNEL_ROWS].astype(float))
         _check_finite(out)
         return out
 
@@ -63,10 +71,8 @@ class BatchNorm:
         """Norms of the subsets given as equal-length rows of positions into
         the column map cols, or of their complements."""
         kept = np.asarray(kept, dtype=np.intp)
-        m = kept.shape[0]
-        masks = np.full((m, len(self.indices)), float(complement))
-        rows = np.repeat(np.arange(m), kept.shape[1])
-        masks[rows, cols[kept.reshape(-1)]] = float(not complement)
+        masks = np.full((len(kept), len(self.indices)), complement)
+        masks[np.arange(len(kept))[:, None], cols[kept]] = not complement
         return self.norms(masks)
 
     def subset_extrema(self, cols, N, complement=False):
@@ -77,13 +83,17 @@ class BatchNorm:
         extremizers in combination order."""
         lo, hi, arg_lo, arg_hi = math.inf, -math.inf, None, None
         it = combinations(range(len(cols)), N)
-        while block := list(islice(it, MASK_CHUNK)):
+        total = math.comb(len(cols), N)
+        for start in range(0, total, MASK_CHUNK):
+            m = min(MASK_CHUNK, total - start)
+            block = np.fromiter(chain.from_iterable(islice(it, m)), np.intp, m * N)
+            block = block.reshape(m, N)
             out = self.subset_norms(cols, block, complement)
             i, j = int(np.argmin(out)), int(np.argmax(out))
             if out[i] < lo:
-                lo, arg_lo = float(out[i]), block[i]
+                lo, arg_lo = float(out[i]), tuple(block[i].tolist())
             if out[j] > hi:
-                hi, arg_hi = float(out[j]), block[j]
+                hi, arg_hi = float(out[j]), tuple(block[j].tolist())
         return lo, hi, arg_lo, arg_hi
 
 
@@ -163,7 +173,8 @@ def batch_evaluator(spec: SpaceSpec, indices, values) -> BatchNorm:
 
             def fn(masks):
                 inner = masks @ im.T
-                return (inner**pr @ meas) ** (1.0 / spec.p)
+                inner **= pr
+                return (inner @ meas) ** (1.0 / spec.p)
 
         else:
             def kernel(ln_v):
@@ -175,9 +186,9 @@ def batch_evaluator(spec: SpaceSpec, indices, values) -> BatchNorm:
                 # an atom a subset leaves uncovered has ln value -inf; a norm past
                 # the float range comes out inf and is caught by _check_finite
                 with np.errstate(divide="ignore", over="ignore"):
-                    ln_v = 0.5 * np.log(masks @ im.T)
-                    return np.exp(np.concatenate([
-                        kernel(ln_v[i : i + KERNEL_ROWS])
-                        for i in range(0, max(len(ln_v), 1), KERNEL_ROWS)]))
+                    ln_v = masks @ im.T
+                    np.log(ln_v, out=ln_v)
+                    ln_v *= 0.5
+                    return np.exp(kernel(ln_v))
 
     return BatchNorm(indices, fn)

@@ -340,7 +340,7 @@ def orlicz_luxemburg_norm(f: StepFunction, phi: OrliczFunction):
 def lorentz_rows(ln_measures, ln_values, p, q):
     """ln L^{p,q} norm of each row's step function."""
     order = np.argsort(-ln_values, axis=1)
-    lv = -np.sort(-ln_values, axis=1)
+    lv = ln_values[np.arange(len(ln_values))[:, None], order]
     ln_b = np.logaddexp.accumulate(ln_measures[order], axis=1)
     ln_a = np.concatenate((np.full((len(lv), 1), -np.inf), ln_b[:, :-1]), axis=1)
     qp = q / p

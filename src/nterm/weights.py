@@ -145,16 +145,20 @@ def ratio_sup(w, m, K=DEFAULT_RANGE_CAP):
 
 
 def _ratio_sups(w, K):
-    """m -> ratio_sup(w, m, K) for 2 <= m <= DILATION_M_MAX."""
-    return {m: ratio_sup(w, m, K) for m in range(2, DILATION_M_MAX + 1)}
+    """m -> ratio_sup(w, m, K) for 2 <= m <= DILATION_M_MAX, with m at most the
+    weight's range limit (ratio_sup reads eta at m k)."""
+    lim = w.range_limit
+    top = DILATION_M_MAX if lim is None else min(DILATION_M_MAX, lim)
+    return {m: ratio_sup(w, m, K) for m in range(2, top + 1)}
 
 
 def _dilation_index(ratios):
-    return max(max(math.log(r) / (-math.log(m)) for m, r in ratios.items()), 0.0)
+    return max([math.log(r) / (-math.log(m)) for m, r in ratios.items()] + [0.0])
 
 
 def lower_dilation_index(w, K=DEFAULT_RANGE_CAP):
-    """max over 2 <= m <= DILATION_M_MAX of log ratio_sup(m) / (-log m), at least 0."""
+    """max over 2 <= m <= DILATION_M_MAX (and m within the weight's range) of
+    log ratio_sup(m) / (-log m), at least 0."""
     return _dilation_index(_ratio_sups(w, K))
 
 
@@ -194,11 +198,11 @@ def classify(w, K=DEFAULT_RANGE_CAP):
         )
     half = Keff // 2
     doubling = float(np.max(vals[2 * np.arange(1, half + 1) - 1] / vals[: half])) if half else 1.0
-    ratios = _ratio_sups(w, Keff) if Keff >= 2 else {}
+    ratios = _ratio_sups(w, Keff)
     return Classification(
         doubling_constant=doubling,
         ratio_table={m: ratios[m] for m in (2, 3, 4, 8, 16) if m in ratios},
-        dilation_index=_dilation_index(ratios) if ratios else 0.0,
+        dilation_index=_dilation_index(ratios),
         kappa=next((m for m, r in ratios.items() if r < 1.0 - strict_margin(m, Keff)), None),
         monotone=True,
         range_cap=Keff,

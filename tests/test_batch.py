@@ -1,16 +1,18 @@
 import itertools
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from nterm.batch import batch_evaluator
+from nterm.batch import KERNEL_ROWS, MASK_CHUNK, batch_evaluator
 from nterm.democracy import default_universe, h_exhaustive, normalized_indicator_norm
 from nterm.errors import FeasibilityError, NumericError
 from nterm.experiments import canonical_indices
 from nterm.greedy import sigma_n_exact
 from nterm.indices import Cube, Rect, interval
 from nterm.sequences import Sequence, indicator
-from nterm.spaces import ambient_norm, parse_space, space_norm
+from nterm.spaces import ambient_norm, element_norm, parse_space, space_norm, square_function
 
 # small default universes: 8 integers, 4+4 pairs, 15 cubes or intervals, 17 rectangles
 SCAN_SIZE = {"integer": 8, "pair": 4, "cube": 16, "interval": 3, "rect": 2}
@@ -110,3 +112,52 @@ def test_exhaustive_scan_reports_first_extremizers():
     h_ell, h_r, arg_min, arg_max = h_exhaustive(spec, default_universe(spec, 40), 4)
     assert h_ell == h_r == 2.0
     assert arg_min == arg_max == [1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("complement", [False, True])
+@pytest.mark.parametrize("label", ["lp:2", "lpq:2,4", "hyp:4,2"])
+def test_subset_extrema_edge_sizes(label, complement):
+    # N = 0 and N = n each have one subset: the scan must still evaluate it, and
+    # its arg tuples are Python ints in combination order, as itertools gives them
+    spec = parse_space(label)
+    n = 5
+    idx = canonical_indices(spec, n)
+    ev = batch_evaluator(spec, idx, np.linspace(0.5, 2.0, n))
+    cols = np.arange(n)[::-1]
+    for N in range(n + 1):
+        combos = list(itertools.combinations(range(n), N))
+        out = ev.subset_norms(cols, np.array(combos, dtype=np.intp).reshape(len(combos), N),
+                              complement)
+        lo, hi, arg_lo, arg_hi = ev.subset_extrema(cols, N, complement)
+        assert (lo, hi) == (out.min(), out.max())
+        assert arg_lo == combos[int(np.argmin(out))]
+        assert arg_hi == combos[int(np.argmax(out))]
+        for arg in (arg_lo, arg_hi):
+            assert type(arg) is tuple and all(type(c) is int for c in arg)
+        if N in (0, n):
+            assert arg_lo == arg_hi == tuple(range(N))
+            assert (lo == 0.0) == ((N == 0) != complement)
+    assert ev.subset_extrema(cols, n + 1, complement) == (math.inf, -math.inf, None, None)
+
+
+def test_exhaustive_scan_memory_is_bounded_by_the_kernel_slice():
+    # an exhaustive scan holds one boolean block of at most MASK_CHUNK subsets
+    # and, per KERNEL_ROWS slice, the float mask slice and the (rows x atoms)
+    # inner sums, with room for one transformed copy of them
+    spec = parse_space("hyp:4,2")
+    uni = default_universe(spec, 4)
+    n, N = len(uni.indices), 2
+    h_exhaustive(spec, uni, N)  # fills the element-norm cache
+    vals = [1.0 / element_norm(spec, i) for i in uni.indices]
+    r, scale_exp = spec.square_exponents
+    atoms = len(square_function(Sequence(dict(zip(uni.indices, vals)), spec.universe),
+                                r, scale_exp).ln_measures)
+    rows = min(MASK_CHUNK, math.comb(n, N))
+    bound = KERNEL_ROWS * (n + 2 * atoms) * 8 + rows * n
+    tracemalloc.start()
+    try:
+        h_exhaustive(spec, uni, N)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound, (peak / 2**20, bound / 2**20)

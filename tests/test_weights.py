@@ -143,3 +143,23 @@ def test_scaled_weight():
     t = Weight.from_table([1.0, 2.0]).scaled(1.0)
     assert t(2) == 4.0
     assert t.range_limit == 2
+
+
+@pytest.mark.parametrize("n", [2, 5, 15])
+def test_classify_short_tables(n):
+    # ratio_sup(w, m) reads eta at m, so a table of n values has ratios only for
+    # m <= n; the scan stops there instead of refusing the whole weight
+    w = Weight.from_table(np.arange(1.0, n + 1))
+    c = classify(w, 10**5)
+    assert c.range_cap == n and c.doubling_constant == 2.0
+    assert c.ratio_table == {m: 1.0 / m for m in (2, 3, 4, 8, 16) if m <= n}
+    assert c.dilation_index == pytest.approx(1.0) == lower_dilation_index(w, K=10**5)
+    assert c.kappa == (2 if n == 15 else None)
+
+
+def test_classify_table_range_edges():
+    one = classify(Weight.from_table([1.0]), 10**5)
+    assert (one.ratio_table, one.dilation_index, one.kappa, one.range_cap) == ({}, 0.0, None, 1)
+    sixteen = classify(Weight.from_table(np.arange(1.0, 17)), 10**5)
+    assert sixteen.ratio_table == {m: 1.0 / m for m in (2, 3, 4, 8, 16)}
+    assert sixteen.kappa == 2 and sixteen.range_cap == 16
