@@ -67,13 +67,17 @@ class BatchNorm:
         _check_finite(out)
         return out
 
-    def subset_norms(self, cols, kept, complement=False):
-        """Norms of the subsets given as equal-length rows of positions into
-        the column map cols, or of their complements."""
+    def subset_masks(self, cols, kept, complement=False):
+        """Boolean rows selecting the subsets given as equal-length rows of
+        positions into the column map cols, or their complements."""
         kept = np.asarray(kept, dtype=np.intp)
         masks = np.full((len(kept), len(self.indices)), complement)
         masks[np.arange(len(kept))[:, None], cols[kept]] = not complement
-        return self.norms(masks)
+        return masks
+
+    def subset_norms(self, cols, kept, complement=False):
+        """Norms of the subset_masks rows."""
+        return self.norms(self.subset_masks(cols, kept, complement))
 
     def subset_extrema(self, cols, N, complement=False):
         """Exhaustive min and max of subset_norms over every N-subset of the

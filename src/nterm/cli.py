@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -92,12 +93,18 @@ def _parse_n_list(text):
 
 
 def _atomic_write(path, data):
+    """Write data to path through a temporary file in the same directory; on
+    any error the temporary file is removed and the error re-raised."""
     d = os.path.dirname(path) or "."
     os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
-    with os.fdopen(fd, "w", newline="") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
+    try:
+        with os.fdopen(fd, "w", newline="") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _csv_text(header, rows):
@@ -426,7 +433,10 @@ COMMANDS = {"norm": cmd_norm, "profile": cmd_profile, "aspace": cmd_aspace,
             "democracy": cmd_democracy, "experiment": cmd_experiment}
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: main is also the in-process
+    entry point, and argparse.parse_args leaves the parser unchanged."""
     ap = argparse.ArgumentParser(prog="nterm", description=__doc__)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--out-dir", default="")

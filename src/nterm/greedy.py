@@ -3,12 +3,32 @@
 All operations here treat sequences as coefficients on the NORMALIZED basis:
 ordering compares plain magnitudes and norm evaluation divides by the norm of
 each basis element. For l^p-type spaces the two coordinate systems coincide.
+
+Greedy errors (gamma_N, and the greedy upper bound on sigma_N) range over the
+tie family of step N: every kept set that is the first N entries of some
+magnitude-nonincreasing ordering. With the magnitudes sorted, that is the
+strict prefix [0, a) joined with each m-subset of the tie class a..b-1 that
+holds the N-th largest magnitude, m = N - a. A family of at most
+TIE_FAMILY_CAP sets is listed in combination order. A larger one is sampled
+and flagged: the two corner picks plus up to TIE_FAMILY_CAP distinct draws of
+Generator.choice(b - a, m, replace=False) from the context's default_rng(0),
+each sorted, with sampled steps drawn in increasing N. So a sequence always
+gets the same picks; the class size as population draws the same stream as
+the list of class positions would.
+
+A profile stacks every step's residual masks in step order and evaluates them
+through BatchNorm.norms in blocks of at most MASK_CHUNK rows, never splitting
+a family, then reduces each step by max (gamma) or min (the sigma bound).
+Stacking changes the matmul shapes of the square-function and bmo evaluators,
+so their values agree with a per-step evaluation of the same family to rel
+1e-15. The additive l^p and l^p(+)l^q rows do not depend on the batch shape
+and agree bitwise.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -31,6 +51,10 @@ class _Context:
         self.indices = r.order
         self.mags = r.values
         self.n = len(r)
+        # tie class a..b-1 of each position in the nonincreasing magnitudes
+        neg = -self.mags
+        self._tie_lo = np.searchsorted(neg, neg, "left")
+        self._tie_hi = np.searchsorted(neg, neg, "right")
         self.rng = np.random.default_rng(0)
         self._eval = None
 
@@ -46,6 +70,10 @@ class _Context:
             self._cols = np.array([pos[idx] for idx in self.indices])
         return self._eval
 
+    def _tie_class(self, N):
+        """(a, b): positions a..b-1 hold the N-th largest magnitude, 0 < N < n."""
+        return int(self._tie_lo[N - 1]), int(self._tie_hi[N - 1])
+
     def greedy_representatives(self, N):
         """Tie family reduced by norm-equivalence where the space is invariant
         under index permutations: any tie choice for l^p, per-component-count
@@ -53,49 +81,47 @@ class _Context:
         if N <= 0 or N >= self.n:
             return self.greedy_kept(N)
         if self.spec.tag == "lp":
-            return [tuple(range(N))], True
+            return np.arange(N)[None, :], True
         if self.spec.tag == "lplq":
-            thr = self.mags[N - 1]
-            strict = [i for i in range(self.n) if self.mags[i] > thr]
-            ties = [i for i in range(self.n) if self.mags[i] == thr]
-            ties_a = [i for i in ties if self.indices[i].component == 0]
-            ties_b = [i for i in ties if self.indices[i].component == 1]
-            m = N - len(strict)
-            fam = []
-            for j in range(max(0, m - len(ties_b)), min(m, len(ties_a)) + 1):
-                fam.append(tuple(strict) + tuple(ties_a[:j]) + tuple(ties_b[: m - j]))
-            return fam, True
+            a, b = self._tie_class(N)
+            comp = np.array([self.indices[i].component for i in range(a, b)])
+            ties_a = a + np.flatnonzero(comp == 0)
+            ties_b = a + np.flatnonzero(comp == 1)
+            m = N - a
+            fam = [
+                np.concatenate((np.arange(a), ties_a[:j], ties_b[: m - j]))
+                for j in range(max(0, m - len(ties_b)), min(m, len(ties_a)) + 1)
+            ]
+            return np.array(fam), True
         return self.greedy_kept(N)
 
     def greedy_kept(self, N):
-        """Admissible kept position-sets of size N (first-N of some
-        magnitude-nonincreasing ordering), plus an exactness flag."""
+        """Admissible kept position-sets of size N (first N of some
+        magnitude-nonincreasing ordering) as the rows of an int array, plus an
+        exactness flag; a family past TIE_FAMILY_CAP is sampled (module
+        docstring)."""
         if N <= 0:
-            return [()], True
+            return np.empty((1, 0), dtype=np.intp), True
         if N >= self.n:
-            return [tuple(range(self.n))], True
-        thr = self.mags[N - 1]
-        strict = [i for i in range(self.n) if self.mags[i] > thr]
-        ties = [i for i in range(self.n) if self.mags[i] == thr]
-        m = N - len(strict)
-        count = math.comb(len(ties), m)
+            return np.arange(self.n)[None, :], True
+        a, b = self._tie_class(N)
+        t, m = b - a, N - a
+        count = math.comb(t, m)
         if count <= TIE_FAMILY_CAP:
-            fam = [tuple(strict) + c for c in combinations(ties, m)]
-            return fam, True
-        picks = {tuple(ties[:m]), tuple(ties[-m:])}
-        for _ in range(TIE_FAMILY_CAP):
-            picks.add(tuple(sorted(self.rng.choice(ties, size=m, replace=False))))
-            if len(picks) >= TIE_FAMILY_CAP:
-                break
-        return [tuple(strict) + c for c in picks], False
-
-
-def greedy_sets(seq: Sequence, N):
-    """Every kept-index set reachable as the first N entries of a
-    magnitude-nonincreasing ordering (sampled beyond the tie-family cap)."""
-    ctx = _Context(seq, SpaceSpec("lp", p=1.0))
-    fam, exact = ctx.greedy_kept(N)
-    return [frozenset(ctx.indices[i] for i in kept) for kept in fam], exact
+            combos = chain.from_iterable(combinations(range(a, b), m))
+            ties = np.fromiter(combos, np.intp, count * m).reshape(count, m)
+        else:
+            picks = {tuple(range(a, a + m)), tuple(range(b - m, b))}
+            for _ in range(TIE_FAMILY_CAP):
+                draw = self.rng.choice(t, m, replace=False).tolist()
+                picks.add(tuple(sorted([a + i for i in draw])))
+                if len(picks) >= TIE_FAMILY_CAP:
+                    break
+            ties = np.array(list(picks), dtype=np.intp)
+        kept = np.empty((len(ties), N), dtype=np.intp)
+        kept[:, :a] = np.arange(a)
+        kept[:, a:] = ties
+        return kept, count <= TIE_FAMILY_CAP
 
 
 @dataclass
@@ -107,27 +133,49 @@ class ErrorValue:
         return self.value
 
 
-def _greedy_residuals(seq, N, spec, ctx):
-    """Residual norms over the greedy tie family at step N, plus its
-    exactness flag."""
-    ctx = ctx or _Context(seq, spec)
+def _greedy_extrema(ctx, Ns):
+    """Max and min residual norm over the greedy family of each step in Ns
+    (greedy_representatives), with the families' exactness flags.
+
+    Each step gives one run of residual-mask rows. Runs are stacked in step
+    order into blocks of at most MASK_CHUNK rows, never splitting a run, and
+    each block is evaluated by one BatchNorm.norms call."""
+    hi, lo = np.zeros(len(Ns)), np.zeros(len(Ns))
+    exact = np.ones(len(Ns), dtype=bool)
     if ctx.n == 0:
-        return np.zeros(1), True
-    fam, exact = ctx.greedy_representatives(N)
-    return ctx.evaluator.subset_norms(ctx._cols, fam, complement=True), exact
+        return hi, lo, exact
+    ev, runs, first = ctx.evaluator, [], 0
+    for i, N in enumerate(Ns):
+        kept, exact[i] = ctx.greedy_representatives(N)
+        masks = ev.subset_masks(ctx._cols, kept, complement=True)
+        if runs and sum(map(len, runs)) + len(masks) > MASK_CHUNK:
+            _reduce_runs(ev, runs, hi[first:i], lo[first:i])
+            runs, first = [], i
+        runs.append(masks)
+    _reduce_runs(ev, runs, hi[first:], lo[first:])
+    return hi, lo, exact
+
+
+def _reduce_runs(ev, runs, hi, lo):
+    """Evaluate the stacked runs in one norms call and write each run's max
+    and min into hi and lo."""
+    vals = ev.norms(np.concatenate(runs))
+    starts = np.cumsum([0] + [len(run) for run in runs[:-1]])
+    np.maximum.reduceat(vals, starts, out=hi)
+    np.minimum.reduceat(vals, starts, out=lo)
 
 
 def gamma_n(seq, N, spec, ctx=None):
     """Greedy error at step N: max residual norm over admissible kept sets."""
-    vals, exact = _greedy_residuals(seq, N, spec, ctx)
-    return ErrorValue(float(vals.max()), exact)
+    hi, _, exact = _greedy_extrema(ctx or _Context(seq, spec), [N])
+    return ErrorValue(float(hi[0]), bool(exact[0]))
 
 
 def sigma_n_upper(seq, N, spec, ctx=None):
     """Greedy upper bound on the optimal N-term error: min over admissible
     kept sets of the residual norm."""
-    vals, exact = _greedy_residuals(seq, N, spec, ctx)
-    return ErrorValue(float(vals.min()), exact)
+    _, lo, exact = _greedy_extrema(ctx or _Context(seq, spec), [N])
+    return ErrorValue(float(lo[0]), bool(exact[0]))
 
 
 def sigma_n_exact(seq, N, spec, ctx=None):
@@ -211,10 +259,8 @@ def sigma_profile(seq, spec, method="auto"):
     if n and (method == "exact" or (method == "auto" and 2**n <= 2 * SUBSET_CAP)):
         vals[:n] = _sigma_all(ctx)[:n]
     else:
-        for N in range(n):
-            ev = sigma_n_upper(seq, N, spec, ctx=ctx)
-            vals[N] = ev.value
-            flags[N] = "greedy" if ev.exact else "sampled"
+        _, vals[:n], exact = _greedy_extrema(ctx, range(n))
+        flags[:n] = ["greedy" if e else "sampled" for e in exact]
     return Profile("sigma", spec.label(), vals, flags)
 
 
@@ -223,12 +269,8 @@ def gamma_profile(seq, spec):
     ctx = _Context(seq, spec)
     n = ctx.n
     vals = np.zeros(n + 1)
-    flags = ["exact"] * (n + 1)
-    for N in range(n):
-        ev = gamma_n(seq, N, spec, ctx=ctx)
-        vals[N] = ev.value
-        if not ev.exact:
-            flags[N] = "sampled"
+    vals[:n], _, exact = _greedy_extrema(ctx, range(n))
+    flags = ["exact" if e else "sampled" for e in exact] + ["exact"]
     return Profile("gamma", spec.label(), vals, flags)
 
 

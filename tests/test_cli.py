@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import nterm
-from nterm.cli import _parse_n_list, main
+from nterm.cli import _atomic_write, _parse_n_list, build_parser, main
 from nterm.errors import ParseError
 from nterm.sequences import Sequence
 
@@ -32,6 +32,31 @@ def test_parse_n_list():
     for bad in ("0,1,2", "-1..3", "2,2,...,8", "4,2,...,1"):
         with pytest.raises(ParseError):
             _parse_n_list(bad)
+
+
+def test_atomic_write_removes_its_temp_file_on_error(tmp_path):
+    target = tmp_path / "out.csv"
+    with pytest.raises(TypeError):
+        _atomic_write(str(target), 1.5)  # write() takes only str
+    assert os.listdir(tmp_path) == []
+    target.write_text("old\n")
+    with pytest.raises(TypeError):
+        _atomic_write(str(target), None)
+    assert os.listdir(tmp_path) == ["out.csv"] and target.read_text() == "old\n"
+    _atomic_write(str(target), "new\n")
+    assert os.listdir(tmp_path) == ["out.csv"] and target.read_text() == "new\n"
+
+
+def test_parser_is_built_once_and_parses_each_call_afresh(seqfile, capsys):
+    assert build_parser() is build_parser()
+    path = seqfile("s.csv", {1: 3.0, 2: 4.0})
+    first = build_parser().parse_args(["--seed", "5", "experiment", "stechkin", "--set", "a=1"])
+    second = build_parser().parse_args(["experiment", "stechkin"])
+    assert (first.seed, first.set) == (5, ["a=1"])
+    assert (second.seed, second.set) == (0, None)
+    assert main(["norm", "lp:2", path]) == 0
+    assert main(["norm", "lp:1", path]) == 0
+    assert capsys.readouterr().out.split() == ["5.0", "7.0"]
 
 
 def test_norm_lp(seqfile, capsys):

@@ -1,47 +1,124 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import ALL_SPACE_LABELS
 from nterm import greedy
+from nterm.batch import KERNEL_ROWS, MASK_CHUNK
 from nterm.errors import FeasibilityError, NumericError
-from nterm.experiments import canonical_indices
+from nterm.experiments import attach, canonical_indices
 from nterm.greedy import (
+    _Context,
     aspace_norm,
     gamma_n,
     gamma_profile,
-    greedy_sets,
     sigma_n_exact,
     sigma_n_upper,
     sigma_profile,
 )
 from nterm.indices import Cube
 from nterm.sequences import Sequence, indicator
-from nterm.spaces import ambient_norm, parse_space
+from nterm.spaces import ambient_norm, element_norm, parse_space, square_function
 
 L1 = parse_space("lp:1")
 L2 = parse_space("lp:2")
 
 
+# -- oracle: the per-step tuple enumeration the array engine replaced ---------
+
+
+def _oracle_kept(ctx, N, rng):
+    """Kept position-sets of size N as tuples, listed in combination order, or
+    past TIE_FAMILY_CAP sampled from the tie list with list-population draws."""
+    if N <= 0:
+        return [()], True
+    if N >= ctx.n:
+        return [tuple(range(ctx.n))], True
+    thr = ctx.mags[N - 1]
+    strict = [i for i in range(ctx.n) if ctx.mags[i] > thr]
+    ties = [i for i in range(ctx.n) if ctx.mags[i] == thr]
+    m = N - len(strict)
+    if math.comb(len(ties), m) <= greedy.TIE_FAMILY_CAP:
+        return [tuple(strict) + c for c in itertools.combinations(ties, m)], True
+    picks = {tuple(ties[:m]), tuple(ties[-m:])}
+    for _ in range(greedy.TIE_FAMILY_CAP):
+        picks.add(tuple(sorted(rng.choice(ties, size=m, replace=False))))
+        if len(picks) >= greedy.TIE_FAMILY_CAP:
+            break
+    return [tuple(strict) + c for c in picks], False
+
+
+def _oracle_representatives(ctx, N, rng):
+    if N <= 0 or N >= ctx.n:
+        return _oracle_kept(ctx, N, rng)
+    if ctx.spec.tag == "lp":
+        return [tuple(range(N))], True
+    if ctx.spec.tag == "lplq":
+        thr = ctx.mags[N - 1]
+        strict = [i for i in range(ctx.n) if ctx.mags[i] > thr]
+        ties = [i for i in range(ctx.n) if ctx.mags[i] == thr]
+        ties_a = [i for i in ties if ctx.indices[i].component == 0]
+        ties_b = [i for i in ties if ctx.indices[i].component == 1]
+        m = N - len(strict)
+        fam = [tuple(strict) + tuple(ties_a[:j]) + tuple(ties_b[: m - j])
+               for j in range(max(0, m - len(ties_b)), min(m, len(ties_a)) + 1)]
+        return fam, True
+    return _oracle_kept(ctx, N, rng)
+
+
+def _oracle_profile(seq, spec):
+    """Per step: max and min residual norm over the oracle's family, one
+    norms call per family, and the family's exactness flag."""
+    ctx = _Context(seq, spec)
+    rng = np.random.default_rng(0)
+    out = []
+    for N in range(ctx.n):
+        fam, exact = _oracle_representatives(ctx, N, rng)
+        vals = ctx.evaluator.subset_norms(ctx._cols, fam, complement=True)
+        out.append((vals.max(), vals.min(), exact))
+    return out
+
+
+def greedy_sets(seq, N):
+    """Oracle greedy sets as index sets, plus the exactness flag."""
+    ctx = _Context(seq, L1)
+    fam, exact = _oracle_kept(ctx, N, np.random.default_rng(0))
+    return [frozenset(ctx.indices[i] for i in kept) for kept in fam], exact
+
+
+def engine_sets(seq, N):
+    """The engine's greedy sets at step N (fresh context), as index sets."""
+    ctx = _Context(seq, L1)
+    kept, exact = ctx.greedy_kept(N)
+    return [frozenset(ctx.indices[i] for i in row) for row in kept.tolist()], exact
+
+
+def _tie_heavy(spec, sizes, rng, magnitudes=(1.0, 0.55, 0.3, 0.2)):
+    vals = rng.permutation(np.repeat(magnitudes[: len(sizes)], sizes))
+    return attach(spec, (vals * rng.choice([-1.0, 1.0], len(vals))).tolist())
+
+
 def test_greedy_sets_examples():
-    s = Sequence({1: 3.0, 2: 2.0, 3: 1.0})
-    sets, exact = greedy_sets(s, 2)
-    assert sets == [frozenset({1, 2})] and exact
+    for sets_of in (greedy_sets, engine_sets):
+        s = Sequence({1: 3.0, 2: 2.0, 3: 1.0})
+        sets, exact = sets_of(s, 2)
+        assert sets == [frozenset({1, 2})] and exact
 
-    tied = Sequence({1: 2.0, 2: 2.0, 3: 2.0})
-    sets, exact = greedy_sets(tied, 1)
-    assert sorted(map(sorted, sets)) == [[1], [2], [3]] and exact
+        tied = Sequence({1: 2.0, 2: 2.0, 3: 2.0})
+        sets, exact = sets_of(tied, 1)
+        assert sorted(map(sorted, sets)) == [[1], [2], [3]] and exact
 
-    s = Sequence({1: 3.0, 2: 2.0, 3: 2.0, 4: 1.0})
-    sets, _ = greedy_sets(s, 2)
-    assert sorted(map(sorted, sets)) == [[1, 2], [1, 3]]
+        s = Sequence({1: 3.0, 2: 2.0, 3: 2.0, 4: 1.0})
+        sets, _ = sets_of(s, 2)
+        assert sorted(map(sorted, sets)) == [[1, 2], [1, 3]]
 
 
 def test_greedy_sets_match_ordering_enumeration(rng):
-    # oracle: first-N prefixes over all magnitude-nonincreasing orderings
-    import itertools
-
+    # first-N prefixes over all magnitude-nonincreasing orderings, against the
+    # oracle and the engine
     for _ in range(20):
         n = int(rng.integers(1, 7))
         vals = rng.choice([1.0, 2.0, 3.0], size=n)
@@ -52,16 +129,115 @@ def test_greedy_sets_match_ordering_enumeration(rng):
                 mags = [abs(s.entries[i]) for i in perm]
                 if all(mags[i] >= mags[i + 1] for i in range(n - 1)):
                     want.add(frozenset(perm[:N]))
-            got, exact = greedy_sets(s, N)
-            assert exact and set(got) == want
+            for sets_of in (greedy_sets, engine_sets):
+                got, exact = sets_of(s, N)
+                assert exact and len(got) == len(want) and set(got) == want
 
 
 def test_greedy_sets_sampled_beyond_cap():
     s = Sequence({k: 1.0 for k in range(1, 40)})
-    sets, exact = greedy_sets(s, 19)
+    sets, exact = engine_sets(s, 19)
     assert not exact
     assert len(sets) <= 10_000
     assert all(len(x) == 19 for x in sets)
+    assert (sets, exact) == greedy_sets(s, 19)
+
+
+def test_families_match_oracle(rng):
+    # every step's family is the oracle's as a set of kept sets; listed families
+    # come in combination order, so they match row for row as well
+    for _ in range(30):
+        sizes = rng.integers(1, 7, size=int(rng.integers(1, 4)))
+        seq = _tie_heavy(L2, sizes, rng)
+        ctx = _Context(seq, L2)
+        for N in range(ctx.n + 1):
+            kept, exact = ctx.greedy_kept(N)
+            want, want_exact = _oracle_kept(ctx, N, None)
+            assert exact == want_exact
+            assert kept.shape == (len(want), N)
+            assert [tuple(row) for row in kept.tolist()] == want
+
+
+def test_sampled_picks_match_oracle_one_for_one():
+    # a class of 16 after a strict prefix of 3: C(16, m) > TIE_FAMILY_CAP at
+    # m = 7..9, so those steps sample; with the same default_rng(0) stream,
+    # drawn in the same step order, the picks and their order are the oracle's
+    seq = Sequence({k: 2.0 if k <= 3 else 1.0 for k in range(1, 20)})
+    ctx = _Context(seq, L1)
+    rng = np.random.default_rng(0)
+    sampled = []
+    for N in range(ctx.n):
+        kept, exact = ctx.greedy_kept(N)
+        want, want_exact = _oracle_kept(ctx, N, rng)
+        assert exact == want_exact
+        assert [tuple(row) for row in kept.tolist()] == want, N
+        if not exact:
+            sampled.append(N - 3)
+    assert sampled == [7, 8, 9]
+
+
+# tie classes per space: small supports, every class listed in full, plus one
+# class of 16 in bmo:2 whose steps m = 7..9 are sampled
+PROFILE_CLASSES = [(label, (4, 5, 3)) for label in ALL_SPACE_LABELS] + [
+    ("lp:2", (6, 6)), ("lplq:2,1", (7, 5)), ("bmo:2", (3, 16)),
+]
+
+
+@pytest.mark.parametrize("label,sizes", PROFILE_CLASSES)
+def test_greedy_profiles_match_oracle(label, sizes):
+    # stacking every step's rows into MASK_CHUNK blocks changes the matmul
+    # shapes of the square-function and bmo evaluators (rel 1e-15); the additive
+    # l^p and l^p(+)l^q rows do not depend on the batch shape (bitwise)
+    spec = parse_space(label)
+    seq = _tie_heavy(spec, sizes, np.random.default_rng(7))
+    want = _oracle_profile(seq, spec)
+    gp = gamma_profile(seq, spec)
+    sp = sigma_profile(seq, spec, method="greedy")
+    hi = [w[0] for w in want] + [0.0]
+    lo = [w[1] for w in want] + [0.0]
+    assert gp.flags == ["exact" if w[2] else "sampled" for w in want] + ["exact"]
+    assert sp.flags == ["greedy" if w[2] else "sampled" for w in want] + ["exact"]
+    # sampled steps too: both profiles reduce the same picks
+    assert np.all(sp.values <= gp.values)
+    if spec.tag in ("lp", "lplq"):
+        assert gp.values.tolist() == hi and sp.values.tolist() == lo
+    else:
+        np.testing.assert_allclose(gp.values, hi, rtol=1e-15, atol=0)
+        np.testing.assert_allclose(sp.values, lo, rtol=1e-15, atol=0)
+    # single-step calls on one context per kind draw the same picks in step order
+    ctx_hi, ctx_lo = _Context(seq, spec), _Context(seq, spec)
+    for N in range(len(want)):
+        assert gamma_n(seq, N, spec, ctx=ctx_hi).value == pytest.approx(hi[N], rel=1e-15, abs=0)
+        assert sigma_n_upper(seq, N, spec, ctx=ctx_lo).value == pytest.approx(
+            lo[N], rel=1e-15, abs=0)
+
+
+def test_profile_memory_is_bounded_by_the_mask_block():
+    # 6 tie classes of 15, every family listed (at most C(15, 7) = 6,435 kept
+    # sets), stack 196,602 residual rows, three MASK_CHUNK blocks. A profile
+    # holds one block's residual masks and their concatenation, the block's
+    # norms, one family's kept positions and a KERNEL_ROWS slice of the
+    # evaluator (mask slice and inner sums, with room for one transformed copy)
+    spec = parse_space("fpr:0,2,2,1")
+    seq = attach(spec, np.repeat(np.linspace(1.0, 0.2, 6), 15).tolist())
+    ctx = _Context(seq, spec)
+    n = ctx.n
+    rows = sum(len(ctx.greedy_kept(N)[0]) for N in range(n))
+    assert rows > 2 * MASK_CHUNK
+    gamma_profile(seq, spec)  # fills the element-norm cache
+    r, scale_exp = spec.square_exponents
+    vals = [ctx.mags[c] / element_norm(spec, i) for c, i in enumerate(ctx.indices)]
+    atoms = len(square_function(Sequence(dict(zip(ctx.indices, vals)), spec.universe),
+                                r, scale_exp).ln_measures)
+    bound = (2 * MASK_CHUNK * n + MASK_CHUNK * 8 + greedy.TIE_FAMILY_CAP * n * 8
+             + KERNEL_ROWS * (n + 2 * atoms) * 8)
+    tracemalloc.start()
+    try:
+        gamma_profile(seq, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound, (peak / 2**20, bound / 2**20)
 
 
 def test_gamma_examples():
@@ -116,21 +292,27 @@ def test_greedy_optimality_in_lp(rng):
 
 
 def test_sigma_le_gamma_all_spaces(any_space, rng):
-    from nterm.experiments import canonical_indices
-
+    # sigma_N <= greedy sigma bound <= gamma_N, each profile nonincreasing in N,
+    # on spread inputs and on tie-heavy ones whose families are all listed
     spec = any_space
+    seqs = []
     for _ in range(5):
         n = int(rng.integers(1, 10))
-        seq = Sequence(
+        seqs.append(Sequence(
             dict(zip(canonical_indices(spec, n), rng.standard_normal(n) * 2)),
             spec.universe,
-        )
+        ))
+    seqs += [_tie_heavy(spec, sizes, rng) for sizes in ((3, 4, 2), (6, 5), (2, 2, 2, 3))]
+    for seq in seqs:
         sp = sigma_profile(seq, spec)
+        bound = sigma_profile(seq, spec, method="greedy")
         gp = gamma_profile(seq, spec)
-        assert np.all(sp.values <= gp.values * (1 + 1e-12) + 1e-15)
-        assert np.all(np.diff(sp.values) <= 1e-12)
-        assert np.all(np.diff(gp.values) <= 1e-12)
-        assert sp.values[-1] == 0.0 and gp.values[-1] == 0.0
+        assert "sampled" not in gp.flags + bound.flags
+        assert np.all(sp.values <= bound.values * (1 + 1e-12) + 1e-15)
+        assert np.all(bound.values <= gp.values * (1 + 1e-12) + 1e-15)
+        for prof in (sp, bound, gp):
+            assert np.all(np.diff(prof.values) <= 1e-12)
+            assert prof.values[-1] == 0.0
 
 
 def _spread_sequence(spec, n, rng):
