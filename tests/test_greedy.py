@@ -27,7 +27,7 @@ L1 = parse_space("lp:1")
 L2 = parse_space("lp:2")
 
 
-# -- oracle: the per-step tuple enumeration the array engine replaced ---------
+# -- oracle: the greedy families as tuples, enumerated one step at a time -----
 
 
 def _oracle_kept(ctx, N, rng):
