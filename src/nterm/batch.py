@@ -2,14 +2,17 @@
 
 A batch evaluator is built once per (space, support) and then maps a boolean
 selection matrix (one row per subset of the support) to the corresponding
-quasi-norms. The combinatorial engines (exact N-term search, greedy tie
-enumeration, exhaustive democracy scans) all run on top of this layer; its
-agreement with the scalar evaluators in spaces.py is asserted by tests.
+quasi-norms. The columns follow the given indices: column i selects indices[i],
+so callers name subsets by positions in their own list. The combinatorial
+engines (exact N-term search, greedy tie enumeration, exhaustive democracy
+scans) all run on top of this layer; its agreement with the scalar evaluators
+in spaces.py is asserted by tests.
 
 The square-function spaces (fpr, lpq, orlicz, hyp) take their atoms and the
 (atom x index) incidence of r-th power weights from the cover that
 spaces.square_function records, so the scalar and batch layers share one
-refinement; an incidence past 5e7 entries raises FeasibilityError.
+refinement (its canonical index order is permuted to the given order once, at
+build); an incidence past 5e7 entries raises FeasibilityError.
 
 The inner sums (p-th powers, r-th power square-function sums, bmo means) are
 taken in linear float range and checked finite; a support whose weights leave
@@ -47,19 +50,15 @@ KERNEL_ROWS = 1 << 12
 
 
 class BatchNorm:
-    """Callable mapping subset-selection rows to norms."""
+    """Callable mapping subset-selection rows (column i: the i-th index) to norms."""
 
-    def __init__(self, indices, fn):
-        self.indices = list(indices)
-        self.pos = {idx: i for i, idx in enumerate(self.indices)}
+    def __init__(self, n, fn):
+        self.n = n
         self._fn = fn
-
-    def __len__(self):
-        return len(self.indices)
 
     def norms(self, masks):
         masks = np.asarray(masks)
-        if masks.ndim != 2 or masks.shape[1] != len(self.indices):
+        if masks.ndim != 2 or masks.shape[1] != self.n:
             raise ValueError("mask matrix shape mismatch")
         out = np.empty(len(masks))
         for i in range(0, len(masks), KERNEL_ROWS):
@@ -67,32 +66,32 @@ class BatchNorm:
         _check_finite(out)
         return out
 
-    def subset_masks(self, cols, kept, complement=False):
+    def subset_masks(self, kept, complement=False):
         """Boolean rows selecting the subsets given as equal-length rows of
-        positions into the column map cols, or their complements."""
+        column positions, or their complements."""
         kept = np.asarray(kept, dtype=np.intp)
-        masks = np.full((len(kept), len(self.indices)), complement)
-        masks[np.arange(len(kept))[:, None], cols[kept]] = not complement
+        masks = np.full((len(kept), self.n), complement)
+        masks[np.arange(len(kept))[:, None], kept] = not complement
         return masks
 
-    def subset_norms(self, cols, kept, complement=False):
+    def subset_norms(self, kept, complement=False):
         """Norms of the subset_masks rows."""
-        return self.norms(self.subset_masks(cols, kept, complement))
+        return self.norms(self.subset_masks(kept, complement))
 
-    def subset_extrema(self, cols, N, complement=False):
+    def subset_extrema(self, N, complement=False):
         """Exhaustive min and max of subset_norms over every N-subset of the
-        positions 0..len(cols)-1, scanned in blocks of MASK_CHUNK.
+        columns 0..n-1, scanned in blocks of MASK_CHUNK.
 
         Returns (min, max, argmin, argmax); the arg tuples are the first
-        extremizers in combination order."""
+        extremizers in combination order, as column positions."""
         lo, hi, arg_lo, arg_hi = math.inf, -math.inf, None, None
-        it = combinations(range(len(cols)), N)
-        total = math.comb(len(cols), N)
+        it = combinations(range(self.n), N)
+        total = math.comb(self.n, N)
         for start in range(0, total, MASK_CHUNK):
             m = min(MASK_CHUNK, total - start)
             block = np.fromiter(chain.from_iterable(islice(it, m)), np.intp, m * N)
             block = block.reshape(m, N)
-            out = self.subset_norms(cols, block, complement)
+            out = self.subset_norms(block, complement)
             i, j = int(np.argmin(out)), int(np.argmax(out))
             if out[i] < lo:
                 lo, arg_lo = float(out[i]), tuple(block[i].tolist())
@@ -132,11 +131,9 @@ def _incidence(f, n):
 def batch_evaluator(spec: SpaceSpec, indices, values) -> BatchNorm:
     """Build a subset-norm evaluator for raw coefficients `values` at `indices`.
 
-    The index order of the selection columns is the canonical order.
+    The selection columns follow the given indices: column i is indices[i].
     """
-    order = sorted(range(len(indices)), key=lambda i: canonical_key(indices[i]))
-    indices = [indices[i] for i in order]
-    values = np.asarray([abs(values[i]) for i in order], dtype=float)
+    values = np.asarray([abs(v) for v in values], dtype=float)
     if np.any(values == 0.0):
         raise ValueError("batch evaluator needs nonzero coefficients")
 
@@ -171,7 +168,9 @@ def batch_evaluator(spec: SpaceSpec, indices, values) -> BatchNorm:
     else:
         r, scale_exp = spec.square_exponents
         f = square_function(Sequence(dict(zip(indices, values)), spec.universe), r, scale_exp)
-        ln_meas, im = f.ln_measures, _incidence(f, len(indices))
+        # the cover's indices are in canonical order; its columns go back to the given order
+        order = sorted(range(len(indices)), key=lambda i: canonical_key(indices[i]))
+        ln_meas, im = f.ln_measures, _incidence(f, len(indices))[:, np.argsort(order)]
         if spec.tag in ("fpr", "hyp"):
             meas, pr = np.exp(ln_meas), spec.p / r
 
@@ -195,4 +194,4 @@ def batch_evaluator(spec: SpaceSpec, indices, values) -> BatchNorm:
                     ln_v *= 0.5
                     return np.exp(kernel(ln_v))
 
-    return BatchNorm(indices, fn)
+    return BatchNorm(len(indices), fn)

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .democracy import democracy_profile, property_h_check
-from .errors import FeasibilityError, InputFileError, NumericError, ParseError
+from .errors import FeasibilityError, InputFileError, NumericError, ParseError, finite
 from .experiments import (
     bernstein_verifier,
     cor72_schedule,
@@ -47,12 +47,7 @@ from .weights import parse_weight
 
 def _parse_q(text):
     text = str(text)
-    if text in ("inf", "infinity", "oo"):
-        return math.inf
-    try:
-        q = float(text)
-    except ValueError as exc:
-        raise ParseError(f"bad exponent {text!r}") from exc
+    q = math.inf if text in ("inf", "infinity", "oo") else finite(text, "q")
     if not q > 0:
         raise ParseError("q must be positive")
     return q
@@ -317,12 +312,13 @@ def _experiment_config(args):
 
 def _cfg(cfg, key, conv=str, default=None):
     """conv of the configured value (or of the default; None: the key is
-    required); a missing, malformed or out-of-range value is a ParseError."""
+    required; a float must be finite); a missing, malformed or out-of-range
+    value is a ParseError."""
     if key not in cfg and default is None:
         raise ParseError(f"experiment needs --{key}")
     value = cfg.get(key, default)
     try:
-        out = conv(value)
+        out = finite(value, key) if conv is float else conv(value)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"bad {key} {value!r}: {exc}") from exc
     if key in LEAST and out < LEAST[key]:

@@ -13,7 +13,7 @@ import numpy as np
 from .batch import batch_evaluator
 from .errors import FeasibilityError, ParseError
 from .greedy import aspace_norm
-from .indices import Cube, Rect, interval
+from .indices import Cube, Pair, Rect, interval
 from .sequences import indicator
 from .spaces import SpaceSpec, ambient_norm, element_norm
 
@@ -53,8 +53,6 @@ def _default_universe_cached(kind, d, size):
         n = size or 64
         return Universe(kind, list(range(1, n + 1)), f"integers 1..{n}")
     if kind == "pair":
-        from .indices import Pair
-
         n = size or 32
         idx = [Pair(0, k) for k in range(1, n + 1)] + [Pair(1, k) for k in range(1, n + 1)]
         return Universe(kind, idx, f"pair streams 1..{n}")
@@ -117,8 +115,6 @@ def structured_family(spec: SpaceSpec, N, family):
     if kind == "integer":
         return list(range(1, N + 1))
     if kind == "pair":
-        from .indices import Pair
-
         if family == "stream-b":
             return [Pair(1, k) for k in range(1, N + 1)]
         if family == "balanced":
@@ -233,9 +229,7 @@ def h_exhaustive(spec, universe: Universe, N):
         )
     idx = universe.indices
     vals = [1.0 / element_norm(spec, i) for i in idx]
-    ev = batch_evaluator(spec, idx, vals)
-    cols = np.array([ev.pos[i] for i in idx])
-    h_ell, h_r, arg_min, arg_max = ev.subset_extrema(cols, N)
+    h_ell, h_r, arg_min, arg_max = batch_evaluator(spec, idx, vals).subset_extrema(N)
     return h_ell, h_r, [idx[i] for i in arg_min], [idx[i] for i in arg_max]
 
 

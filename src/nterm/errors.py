@@ -1,4 +1,6 @@
-"""Error types shared across the package; the CLI maps them to exit codes."""
+"""Error types shared across the package, which the CLI maps to exit codes, and
+the finite-number check of the input parsers."""
+import math
 
 
 class ParseError(ValueError):
@@ -15,3 +17,14 @@ class FeasibilityError(RuntimeError):
 
 class NumericError(ArithmeticError):
     """Numeric range or convergence failure (CLI exit code 4)."""
+
+
+def finite(value, name):
+    """value as a finite float; anything else is a ParseError naming it."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        x = math.nan
+    if not math.isfinite(x):
+        raise ParseError(f"{name} must be a finite number, got {value!r}")
+    return x

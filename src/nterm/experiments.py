@@ -10,16 +10,18 @@ from fractions import Fraction
 import numpy as np
 
 # h_structured is not called here, but perfbench/tracer.py requires this binding
-from .democracy import h_structured, structured_family, structured_values  # noqa: F401
-from .errors import FeasibilityError, ParseError
+from .democracy import h_structured  # noqa: F401
+from .democracy import default_universe, structured_family, structured_values
+from .errors import FeasibilityError, ParseError, finite
 from .greedy import aspace_norm, gamma_profile, sigma_profile
-from .indices import Cube, Pair
+from .indices import Cube, Pair, Rect, interval
 from .lorentz import lorentz_norm
 from .sequences import Sequence
 from .spaces import SpaceSpec, ambient_norm, parse_space
 from .weights import Weight, classify
 
 TAIL_FACTORS = (0.6, 1.1, 2.1)  # power-tail decay relative to the critical exponent
+TEST_SET_SIZE = 12  # sequences per standard test set
 TWO_BLOCK_GRID = 48  # geometric grid of k in the two-block witness norms
 TWO_BLOCK_SAMPLES = 4  # sampled tie choices per k in the two-block gamma
 RATE_GRID = 40  # geometric grid points of the non-linearity rate fits
@@ -68,8 +70,6 @@ def rate_fit(points, drop_first_decade=True):
 
 def canonical_indices(spec: SpaceSpec, n):
     """First n indices of the space's default universe in canonical order."""
-    from .democracy import default_universe
-
     if spec.universe == "integer":
         return list(range(1, n + 1))
     if spec.universe == "pair":
@@ -86,7 +86,7 @@ def attach(spec, values):
     return Sequence(dict(zip(canonical_indices(spec, len(values)), values)), spec.universe)
 
 
-def standard_test_set(spec, support, seed, count=12, critical=1.0):
+def standard_test_set(spec, support, seed, critical=1.0):
     """Deterministic mix of power tails (decay relative to the critical
     exponent), structured indicators and random sparse vectors."""
     rng = np.random.default_rng(seed)
@@ -96,7 +96,7 @@ def standard_test_set(spec, support, seed, count=12, critical=1.0):
         out.append(attach(spec, k ** (-c * critical)))
     for N in {1, max(2, support // 8), max(3, support // 2), support}:
         out.append(attach(spec, np.ones(N)))
-    while len(out) < count:
+    while len(out) < TEST_SET_SIZE:
         n = int(rng.integers(2, support + 1))
         vals = rng.standard_normal(n) * np.exp(rng.uniform(-2, 2, n))
         out.append(attach(spec, np.abs(vals) + 1e-12))
@@ -190,7 +190,7 @@ def stechkin_check(alpha, q, trials=100, support_cap=64, seed=0):
     """Ratio band of the approximation-space norm against the classical
     Lorentz norm with 1/tau = alpha + 1/2 on random vectors (orthonormal
     setting: l^2 with its canonical basis)."""
-    if alpha <= 0:
+    if finite(alpha, "alpha") <= 0:
         raise ParseError("alpha must be positive")
     spec = parse_space("lp:2")
     tau = 1.0 / (alpha + 0.5)
@@ -231,14 +231,10 @@ def _shifted_family(spec, N, family):
     if spec.universe == "integer":
         return [k + 10**9 for k in base]
     if spec.universe == "pair":
-        from .indices import Pair as P
-
-        return [P(p.component, p.k + 10**9) for p in base]
+        return [Pair(p.component, p.k + 10**9) for p in base]
     if spec.universe == "rect":
-        from .indices import Rect, interval as iv
-
         return [
-            Rect((iv(r.intervals[0].j, r.intervals[0].k[0] + 2 ** r.intervals[0].j),)
+            Rect((interval(r.intervals[0].j, r.intervals[0].k[0] + 2 ** r.intervals[0].j),)
                  + r.intervals[1:])
             for r in base
         ]

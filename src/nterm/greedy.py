@@ -34,7 +34,7 @@ import numpy as np
 
 from . import _kernels
 from .batch import MASK_CHUNK, batch_evaluator
-from .errors import FeasibilityError, ParseError
+from .errors import FeasibilityError, ParseError, finite
 from .sequences import Sequence, rearrange
 from .spaces import SpaceSpec, ambient_norm, element_norm
 
@@ -43,7 +43,8 @@ SUBSET_CAP = 2_000_000
 
 
 class _Context:
-    """Per-(sequence, space) evaluation state shared by the subset engines."""
+    """Per-(sequence, space) evaluation state shared by the subset engines.
+    Position c in the nonincreasing rearrangement is the evaluator's column c."""
 
     def __init__(self, seq: Sequence, spec: SpaceSpec):
         self.spec = spec
@@ -66,8 +67,6 @@ class _Context:
                 for i, idx in enumerate(self.indices)
             ]
             self._eval = batch_evaluator(self.spec, self.indices, raw)
-            pos = {idx: c for c, idx in enumerate(self._eval.indices)}
-            self._cols = np.array([pos[idx] for idx in self.indices])
         return self._eval
 
     def _tie_class(self, N):
@@ -147,7 +146,7 @@ def _greedy_extrema(ctx, Ns):
     ev, runs, first = ctx.evaluator, [], 0
     for i, N in enumerate(Ns):
         kept, exact[i] = ctx.greedy_representatives(N)
-        masks = ev.subset_masks(ctx._cols, kept, complement=True)
+        masks = ev.subset_masks(kept, complement=True)
         if runs and sum(map(len, runs)) + len(masks) > MASK_CHUNK:
             _reduce_runs(ev, runs, hi[first:i], lo[first:i])
             runs, first = [], i
@@ -190,7 +189,7 @@ def sigma_n_exact(seq, N, spec, ctx=None):
             "use sigma_n_upper"
         )
     ev = ctx.evaluator
-    return ErrorValue(ev.subset_extrema(ctx._cols, N, complement=True)[0])
+    return ErrorValue(ev.subset_extrema(N, complement=True)[0])
 
 
 @dataclass
@@ -226,8 +225,7 @@ def _sigma_all(ctx):
         resid = np.zeros(1 << n)
         masks = np.arange(1 << n, dtype=np.uint32)
         popcount = np.bitwise_count(masks)
-        bits = np.zeros(n, dtype=np.uint32)
-        bits[ctx._cols] = 1 << np.arange(n - 1, -1, -1)
+        bits = (1 << np.arange(n - 1, -1, -1)).astype(np.uint32)
         for k in range(1, n + 1):
             cls = masks[popcount == k]
             for start in range(0, len(cls), MASK_CHUNK):
@@ -290,7 +288,7 @@ def aspace_norm(
     with sup in place of the sum when q = inf. Terms with N beyond the support
     vanish since e_N = 0 there.
     """
-    if alpha <= 0:
+    if finite(alpha, "alpha") <= 0:
         raise ParseError("alpha must be positive")
     if q <= 0:
         raise ParseError("q must be positive")

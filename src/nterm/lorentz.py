@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from .sequences import Sequence, rearrange
-from .weights import Weight
+from .weights import Weight, classify
 
 
 def lorentz_norm(seq: Sequence, w: Weight, q):
@@ -60,8 +60,6 @@ def fundamental_function_check(w: Weight, q, N_list):
     bounded band provided the weight has a certified positive dilation index;
     rows are flagged when that certificate is absent.
     """
-    from .weights import classify
-
     warn = False
     if not math.isinf(q):
         cls = classify(w, K=min(10**5, max(N_list) * 16))

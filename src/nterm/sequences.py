@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ParseError, finite
 from .indices import canonical_key, format_index, parse_index
 
 
@@ -31,11 +31,9 @@ class Sequence:
         self.kind = kind
 
     @classmethod
-    def from_values(cls, values, kind="integer", indices=None):
-        """Attach a list of coefficients to explicit or 1-based integer indices."""
-        if indices is None:
-            indices = range(1, len(values) + 1)
-        return cls(dict(zip(indices, values, strict=True)), kind)
+    def from_values(cls, values):
+        """Attach a list of coefficients to the integer indices 1, 2, ..."""
+        return cls(dict(zip(range(1, len(values) + 1), values)))
 
     def __len__(self):
         return len(self.entries)
@@ -69,7 +67,8 @@ class Sequence:
 
     @classmethod
     def from_csv(cls, path, kind="integer"):
-        """Read an index,coefficient CSV; malformed content raises ParseError."""
+        """Read an index,coefficient CSV; malformed content, including a
+        coefficient that is not a finite number, raises ParseError."""
         entries = {}
         with open(path, newline="") as fh:
             rd = csv.reader(fh)
@@ -84,10 +83,7 @@ class Sequence:
                     raise ParseError(f"duplicate index {row[0]!r}")
                 if len(row) < 2:
                     raise ParseError(f"index {row[0]!r} has no coefficient")
-                try:
-                    entries[idx] = float(row[1])
-                except ValueError as exc:
-                    raise ParseError(f"bad coefficient {row[1]!r} at {row[0]!r}") from exc
+                entries[idx] = finite(row[1], f"coefficient at {row[0]!r}")
         if len({getattr(i, "d", 1) for i in entries}) > 1:
             raise ParseError("indices of mixed dimensions")
         return cls(entries, kind)
@@ -111,5 +107,5 @@ def rearrange(seq: Sequence) -> Rearranged:
     return Rearranged(np.array([m for _, m in items]), [i for i, _ in items])
 
 
-def indicator(indices, kind="integer", value=1.0):
-    return Sequence({i: value for i in indices}, kind)
+def indicator(indices, kind="integer"):
+    return Sequence(dict.fromkeys(indices, 1.0), kind)

@@ -1,16 +1,14 @@
 """Exact quasi-norm evaluators for concrete discrete sequence spaces.
 
-Supported space tags and their index universes:
+Supported spaces; SPACE_TAGS gives each tag's index universe and parameters:
 
     lp:p           l^p over integers
     lplq:p,q       l^p (+) l^q over paired integer streams, norm ||a||_p + ||b||_q
-    fpr:s,p,r,d    smoothness-scale cube space: L^p of the inner l^r sum with
-                   per-cube scale |Q|^(-s/d - 1/2)
-    lpq:p,q        cube space with L^{p,q} outer norm (inner exponent 2, scale
-                   |Q|^(-1/2))
-    orlicz:<fam>   cube space with Orlicz-Luxemburg outer norm
-    hyp:p,d        dyadic-rectangle space with L^p outer norm
-    bmo:r          one-dimensional interval space with the mean-oscillation sup
+    fpr:s,p,r,d    cubes: L^p of the inner l^r sum, per-cube scale |Q|^(-s/d - 1/2)
+    lpq:p,q        cubes: L^{p,q} outer norm (inner exponent 2, scale |Q|^(-1/2))
+    orlicz:<fam>   cubes: Orlicz-Luxemburg outer norm
+    hyp:p,d        dyadic rectangles: L^p outer norm
+    bmo:r          one-dimensional intervals: the mean-oscillation sup
 
 All integration over dyadic geometry is exact: step functions are carried as
 atoms with log-scale measures/values so that families spanning a thousand
@@ -24,7 +22,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .errors import FeasibilityError, NumericError, ParseError
+from .errors import FeasibilityError, NumericError, ParseError, finite
 from .geometry import cube_sweep, rect_grid, virtual_tree
 from .indices import Cube, Rect, canonical_key
 from .sequences import Sequence
@@ -38,20 +36,23 @@ MAX_RECT_LEVEL = 500
 # Orlicz functions
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
 class OrliczFunction:
     """Convex Orlicz function Phi with Phi(0) = 0, strictly increasing on (0, inf).
 
     Built-in family powlog:p,g is Phi(u) = u^p log^g(1+u) with p >= 1, g >= 0.
+    name is the family string, so pow:2 != powlog:2,0 although Phi is the same.
     """
 
-    def __init__(self, name, p=1.0, g=0.0):
-        if p < 1 or g < 0:
-            raise ParseError("orlicz powlog family needs p >= 1 and g >= 0")
-        if p == 1 and g == 0:
+    name: str
+    p: float = 1.0
+    g: float = 0.0
+
+    def __post_init__(self):
+        if not (1 <= self.p < math.inf and 0 <= self.g < math.inf):
+            raise ParseError("orlicz powlog family needs finite p >= 1 and g >= 0")
+        if self.p == 1 and self.g == 0:
             raise ParseError("orlicz powlog:1,0 is plain L^1; use lp/fpr instead")
-        self.name = name
-        self.p = p
-        self.g = g
 
     def __call__(self, u):
         return _powlog(u, self.p, self.g)
@@ -65,12 +66,6 @@ class OrliczFunction:
         if t <= 0:
             raise ValueError("fundamental function needs t > 0")
         return 1.0 / self.inverse(1.0 / t)
-
-    def key(self):
-        return (self.name, self.p, self.g)
-
-    def __repr__(self):
-        return f"OrliczFunction({self.name})"
 
 
 def _powlog(u, p, g):
@@ -104,68 +99,79 @@ def _powlog_inverse(p, g, y):
 
 
 def parse_orlicz(text):
+    """Parse an Orlicz family string: pow:p, powlog:p,g or ulogu."""
     head, _, rest = text.partition(":")
-    if head == "pow":
-        return OrliczFunction(text, p=float(rest))
-    if head == "powlog":
-        p, g = (float(x) for x in rest.split(","))
-        return OrliczFunction(text, p=p, g=g)
-    if head == "ulogu" or text == "ulogu":
-        return OrliczFunction("ulogu", p=1.0, g=1.0)
+    if text == "ulogu":
+        return OrliczFunction(text, p=1.0, g=1.0)
+    if head in ("pow", "powlog"):
+        return OrliczFunction(text, *_numbers(text, rest, "p" if head == "pow" else "pg"))
     raise ParseError(f"unknown orlicz family {text!r}")
+
+
+def _numbers(text, rest, names):
+    """rest's comma-separated parameters, one per name: d an integer, others finite."""
+    parts = rest.split(",")
+    if len(parts) != len(names):
+        raise ParseError(f"{text!r} needs the {len(names)} parameter(s) {','.join(names)}")
+    return [_number(name, x) for name, x in zip(names, parts)]
+
+
+def _number(name, text):
+    if name != "d":
+        return finite(text, name)
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"dimension d must be an integer, got {text!r}") from None
 
 
 # ---------------------------------------------------------------------------
 # Space specifications
 # ---------------------------------------------------------------------------
 
-_UNIVERSE = {
-    "lp": "integer",
-    "lplq": "pair",
-    "fpr": "cube",
-    "lpq": "cube",
-    "orlicz": "cube",
-    "hyp": "rect",
-    "bmo": "interval",
+# tag -> (index universe, parameter names in spec-string order); orlicz takes
+# one Orlicz family string instead (parse_orlicz)
+SPACE_TAGS = {
+    "lp": ("integer", ("p",)),
+    "lplq": ("pair", ("p", "q")),
+    "fpr": ("cube", ("s", "p", "r", "d")),
+    "lpq": ("cube", ("p", "q")),
+    "orlicz": ("cube", ()),
+    "hyp": ("rect", ("p", "d")),
+    "bmo": ("interval", ("r",)),
 }
 
 
 @dataclass(frozen=True)
 class SpaceSpec:
+    """A space as a value: equal specs hash alike, so a spec is its own cache
+    key. Only the parameters SPACE_TAGS names for the tag are read."""
+
     tag: str
     p: float = 0.0
     q: float = 0.0
     r: float = 0.0
     s: float = 0.0
     d: int = 1
-    orlicz: OrliczFunction | None = field(default=None, compare=False)
-    orlicz_key: tuple | None = None
+    orlicz: OrliczFunction | None = None
 
     def __post_init__(self):
-        if self.tag not in _UNIVERSE:
+        if self.tag not in SPACE_TAGS:
             raise ParseError(f"unknown space tag {self.tag!r}")
-        for name in ("p", "q", "r"):
-            v = getattr(self, name)
-            if v < 0 or (v == 0 and self._needs(name)):
+        for name in self.exponents:
+            if not 0 < getattr(self, name) < math.inf:
                 raise ParseError(f"{self.tag}: exponent {name} must be in (0, inf)")
         if self.d < 1:
             raise ParseError("dimension must be >= 1")
 
-    def _needs(self, name):
-        need = {
-            "lp": "p",
-            "lplq": "pq",
-            "fpr": "pr",
-            "lpq": "pq",
-            "orlicz": "",
-            "hyp": "p",
-            "bmo": "r",
-        }[self.tag]
-        return name in need
+    @property
+    def exponents(self):
+        """The space's exponents among p, q and r."""
+        return [name for name in SPACE_TAGS[self.tag][1] if name in "pqr"]
 
     @property
     def universe(self):
-        return _UNIVERSE[self.tag]
+        return SPACE_TAGS[self.tag][0]
 
     @property
     def square_exponents(self):
@@ -175,66 +181,28 @@ class SpaceSpec:
 
     @property
     def rho(self):
-        """Declared power-triangle exponent for this space."""
-        if self.tag == "lp":
-            return min(1.0, self.p)
-        if self.tag == "fpr":
-            return min(1.0, self.p, self.r)
-        if self.tag in ("lpq", "lplq"):
-            return min(1.0, self.p, self.q)
-        if self.tag == "bmo":
-            return min(1.0, self.r)
-        if self.tag == "orlicz":
-            return 1.0
-        if self.tag == "hyp":
-            return min(1.0, self.p)
-        raise AssertionError(self.tag)
+        """Declared power-triangle exponent: min of 1 and the space's exponents."""
+        return min([1.0] + [getattr(self, name) for name in self.exponents])
 
     def label(self):
-        if self.tag == "lp":
-            return f"lp:{self.p:g}"
-        if self.tag == "lplq":
-            return f"lplq:{self.p:g},{self.q:g}"
-        if self.tag == "fpr":
-            return f"fpr:{self.s:g},{self.p:g},{self.r:g},{self.d}"
-        if self.tag == "lpq":
-            return f"lpq:{self.p:g},{self.q:g}"
         if self.tag == "orlicz":
             return f"orlicz:{self.orlicz.name}"
-        if self.tag == "hyp":
-            return f"hyp:{self.p:g},{self.d}"
-        return f"bmo:{self.r:g}"
+        return f"{self.tag}:" + ",".join(
+            str(self.d) if name == "d" else f"{getattr(self, name):g}"
+            for name in SPACE_TAGS[self.tag][1])
 
 
 def parse_space(text):
     """Parse a space string like lp:2, lplq:1,2, fpr:0,2,2,1, lpq:2,4,
-    orlicz:powlog:1,1, hyp:4,2, bmo:2."""
-    head, _, rest = text.partition(":")
-    try:
-        if head == "lp":
-            return SpaceSpec("lp", p=float(rest))
-        if head == "lplq":
-            p, q = (float(x) for x in rest.split(","))
-            return SpaceSpec("lplq", p=p, q=q)
-        if head == "fpr":
-            s, p, r, d = rest.split(",")
-            return SpaceSpec("fpr", s=float(s), p=float(p), r=float(r), d=int(d))
-        if head == "lpq":
-            p, q = (float(x) for x in rest.split(","))
-            return SpaceSpec("lpq", p=p, q=q)
-        if head == "orlicz":
-            fn = parse_orlicz(rest)
-            return SpaceSpec("orlicz", orlicz=fn, orlicz_key=fn.key())
-        if head == "hyp":
-            p, d = rest.split(",")
-            return SpaceSpec("hyp", p=float(p), d=int(d))
-        if head == "bmo":
-            return SpaceSpec("bmo", r=float(rest))
-    except ParseError:
-        raise
-    except (ValueError, TypeError) as exc:
-        raise ParseError(f"cannot parse space {text!r}: {exc}") from exc
-    raise ParseError(f"unknown space {text!r}")
+    orlicz:powlog:1,1, hyp:4,2, bmo:2 (SPACE_TAGS gives each tag's
+    parameters; all must be finite)."""
+    tag, _, rest = text.partition(":")
+    if tag == "orlicz":
+        return SpaceSpec(tag, orlicz=parse_orlicz(rest))
+    if tag not in SPACE_TAGS:
+        raise ParseError(f"unknown space {text!r}")
+    names = SPACE_TAGS[tag][1]
+    return SpaceSpec(tag, **dict(zip(names, _numbers(text, rest, names))))
 
 
 # ---------------------------------------------------------------------------
@@ -576,18 +544,8 @@ def space_norm(spec: SpaceSpec, seq: Sequence):
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=1 << 18)
-def _element_norm_cached(spec_key, idx):
-    spec = _SPEC_CACHE[spec_key]
+def _element_norm_cached(spec, idx):
     return space_norm(spec, Sequence({idx: 1.0}, spec.universe))
-
-
-_SPEC_CACHE: dict = {}
-
-
-def _spec_key(spec):
-    key = (spec.tag, spec.p, spec.q, spec.r, spec.s, spec.d, spec.orlicz_key)
-    _SPEC_CACHE.setdefault(key, spec)
-    return key
 
 
 def _origin_translate(idx):
@@ -609,7 +567,7 @@ def element_norm(spec, idx):
     1. So the translate's norm is the same float, computed by `space_norm` on
     a real element like any other.
     """
-    return _element_norm_cached(_spec_key(spec), _origin_translate(idx))
+    return _element_norm_cached(spec, _origin_translate(idx))
 
 
 def to_raw(spec, seq: Sequence) -> Sequence:

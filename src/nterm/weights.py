@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FeasibilityError, NumericError, ParseError
+from .errors import FeasibilityError, NumericError, ParseError, finite
 
 DEFAULT_RANGE_CAP = 10**6
 DILATION_M_MAX = 16
@@ -108,20 +108,21 @@ class Weight:
 
 
 def parse_weight(text):
-    """Parse "pow:a,b" (k^a log^b(k+1)) or "table:<path>" (one value per line)."""
-    try:
-        head, _, rest = text.partition(":")
-        if head == "pow":
-            parts = rest.split(",")
-            a = float(parts[0])
-            b = float(parts[1]) if len(parts) > 1 else 0.0
-            return Weight.power_log(a, b)
-        if head == "table":
+    """Parse "pow:a,b" or "pow:a" (k^a log^b(k+1)) or "table:<path>" (one value
+    per line); every number must be finite."""
+    head, _, rest = text.partition(":")
+    if head == "pow":
+        parts = rest.split(",")
+        if len(parts) > 2:
+            raise ParseError(f"weight {text!r} takes pow:a or pow:a,b")
+        return Weight.power_log(*(finite(x, name) for name, x in zip("ab", parts)))
+    if head == "table":
+        try:
             with open(rest) as fh:
-                vals = [float(line) for line in fh if line.strip()]
-            return Weight.from_table(vals)
-    except (ValueError, OSError) as exc:
-        raise ParseError(f"cannot parse weight {text!r}: {exc}") from exc
+                lines = [line.strip() for line in fh if line.strip()]
+        except (OSError, ValueError) as exc:  # ValueError: not text
+            raise ParseError(f"cannot parse weight {text!r}: {exc}") from exc
+        return Weight.from_table([finite(line, "table value") for line in lines])
     raise ParseError(f"unknown weight form {text!r} (expected pow:a,b or table:path)")
 
 

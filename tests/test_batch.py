@@ -28,21 +28,43 @@ def test_batch_matches_scalar_on_random_subsets(any_space, rng):
     masks = rng.integers(0, 2, size=(40, n)).astype(float)
     got = ev.norms(masks)
     for row, g in zip(masks, got):
-        sub = Sequence(
-            {ev.indices[i]: vmap[ev.indices[i]] for i in range(n) if row[i]},
-            spec.universe,
-        )
+        sub = Sequence({idx[i]: vmap[idx[i]] for i in range(n) if row[i]}, spec.universe)
         want = space_norm(spec, sub)
         assert g == pytest.approx(want, rel=1e-8, abs=1e-12)
 
 
-def test_batch_column_order_is_canonical(rng):
+def test_batch_column_order_follows_the_given_indices():
     spec = parse_space("lp:2")
-    idx = [3, 1, 2]
-    ev = batch_evaluator(spec, idx, [1.0, 2.0, 3.0])
-    assert ev.indices == [1, 2, 3]
-    # the value follows its index: the row selecting index 1 has norm 2
-    assert ev.norms(np.array([[1.0, 0.0, 0.0]]))[0] == pytest.approx(2.0)
+    ev = batch_evaluator(spec, [3, 1, 2], [1.0, 2.0, 3.0])
+    # column 0 is index 3, with value 1; column 1 is index 1, with value 2
+    assert ev.norms(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])).tolist() == [1.0, 2.0]
+
+
+@pytest.mark.parametrize("label", ["lp:2", "lpq:2,4", "bmo:2", "hyp:4,2"])
+def test_batch_permuted_indices_match_canonical_order(label, rng):
+    # an evaluator over a permuted index list agrees with the one over the
+    # canonical order on the column-permuted masks; only the order in which the
+    # columns are summed differs, so the floats agree to rel 1e-15
+    spec = parse_space(label)
+    n = 9
+    idx = canonical_indices(spec, n)
+    vals = rng.uniform(0.05, 4.0, n)
+    perm = rng.permutation(n)
+    canon = batch_evaluator(spec, idx, vals)
+    ev = batch_evaluator(spec, [idx[i] for i in perm], vals[perm])
+    masks = rng.integers(0, 2, size=(200, n)).astype(bool)
+    want = canon.norms(masks[:, np.argsort(perm)])
+    np.testing.assert_allclose(ev.norms(masks), want, rtol=1e-15, atol=0.0)
+    # subset_extrema's arg tuples are positions in the given list
+    for N in (2, 3):
+        lo, hi, arg_lo, arg_hi = ev.subset_extrema(N)
+        assert ev.subset_norms([arg_lo])[0] == pytest.approx(lo, rel=1e-15)
+        assert ev.subset_norms([arg_hi])[0] == pytest.approx(hi, rel=1e-15)
+        by_set = {frozenset(c): v for c, v in zip(
+            itertools.combinations(idx, N),
+            canon.subset_norms(list(itertools.combinations(range(n), N))))}
+        assert by_set[frozenset(idx[perm[i]] for i in arg_lo)] == pytest.approx(lo, rel=1e-15)
+        assert by_set[frozenset(idx[perm[i]] for i in arg_hi)] == pytest.approx(hi, rel=1e-15)
 
 
 def test_batch_rejects_zero_values(rng):
@@ -123,12 +145,11 @@ def test_subset_extrema_edge_sizes(label, complement):
     n = 5
     idx = canonical_indices(spec, n)
     ev = batch_evaluator(spec, idx, np.linspace(0.5, 2.0, n))
-    cols = np.arange(n)[::-1]
     for N in range(n + 1):
         combos = list(itertools.combinations(range(n), N))
-        out = ev.subset_norms(cols, np.array(combos, dtype=np.intp).reshape(len(combos), N),
+        out = ev.subset_norms(np.array(combos, dtype=np.intp).reshape(len(combos), N),
                               complement)
-        lo, hi, arg_lo, arg_hi = ev.subset_extrema(cols, N, complement)
+        lo, hi, arg_lo, arg_hi = ev.subset_extrema(N, complement)
         assert (lo, hi) == (out.min(), out.max())
         assert arg_lo == combos[int(np.argmin(out))]
         assert arg_hi == combos[int(np.argmax(out))]
@@ -137,7 +158,7 @@ def test_subset_extrema_edge_sizes(label, complement):
         if N in (0, n):
             assert arg_lo == arg_hi == tuple(range(N))
             assert (lo == 0.0) == ((N == 0) != complement)
-    assert ev.subset_extrema(cols, n + 1, complement) == (math.inf, -math.inf, None, None)
+    assert ev.subset_extrema(n + 1, complement) == (math.inf, -math.inf, None, None)
 
 
 def test_exhaustive_scan_memory_is_bounded_by_the_kernel_slice():

@@ -201,6 +201,8 @@ def test_parse_errors_exit_2(seqfile, tmp_path, capsys):
         "index.csv": "index,coefficient\nx,1.0\n",
         "short.csv": "index,coefficient\n1\n",
         "empty.csv": "",
+        "nan.csv": "index,coefficient\n1,nan\n",
+        "inf.csv": "index,coefficient\n1,1.0\n2,-inf\n",
     }
     for name, text in cases.items():
         (tmp_path / name).write_text(text)
@@ -233,7 +235,16 @@ def test_parse_errors_exit_2(seqfile, tmp_path, capsys):
     assert main(["experiment", "bernstein", "--space", "lp:2", "--N", "0"]) == 2
     assert main(["experiment", "nonlinear", "--p", "2", "--q", "1", "--K", "0"]) == 2
     assert main(["democracy", "--space", "lp:2", "--N", "2,2,...,8"]) == 2
-    assert capsys.readouterr().err.count("parse error:") == 26
+    # non-finite numbers and trailing text
+    for space in ("lp:nan", "lp:inf", "bmo:inf", "orlicz:ulogu:3", "orlicz:pow:inf"):
+        assert main(["norm", space, path]) == 2, space
+    for weight in ("pow:nan,0", "pow:inf", "pow:0.5,0,1"):
+        assert main(["norm", "lorentz-seq", weight, "1", path]) == 2, weight
+    assert main(["aspace", "lp:2", path, "--alpha", "nan", "--q", "1"]) == 2
+    assert main(["aspace", "lp:2", path, "--alpha", "1", "--q", "nan"]) == 2
+    assert main(["experiment", "stechkin", "--alpha", "nan"]) == 2
+    assert main(["experiment", "bernstein", "--space", "lp:2", "--alpha", "inf"]) == 2
+    assert capsys.readouterr().err.count("parse error:") == 40
 
 
 def test_unreadable_input_exit_2(tmp_path, capsys):

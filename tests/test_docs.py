@@ -1,0 +1,28 @@
+"""The README's space catalog and CLI examples stay in step with the parser."""
+import re
+from pathlib import Path
+
+from nterm.spaces import SPACE_TAGS, parse_space
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
+def _section(title):
+    return README.split(f"## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_space_catalog_lists_every_tag_with_its_parameters():
+    rows = re.findall(r"^\| `([a-z]+):([^`]*)` ", _section("Space catalog"), re.M)
+    assert sorted(tag for tag, _ in rows) == sorted(SPACE_TAGS)
+    for tag, params in rows:
+        if tag != "orlicz":  # orlicz takes one family string
+            assert tuple(params.split(",")) == SPACE_TAGS[tag][1], tag
+
+
+def test_cli_space_strings_parse_and_round_trip():
+    block = _section("CLI").split("```")[1]
+    tags = "|".join(sorted(SPACE_TAGS, key=len, reverse=True))
+    found = re.findall(rf"(?<![\w:-])((?:{tags}):\S+)", block)
+    assert found
+    for text in found:
+        assert parse_space(text).label() == text

@@ -77,7 +77,7 @@ def _oracle_profile(seq, spec):
     out = []
     for N in range(ctx.n):
         fam, exact = _oracle_representatives(ctx, N, rng)
-        vals = ctx.evaluator.subset_norms(ctx._cols, fam, complement=True)
+        vals = ctx.evaluator.subset_norms(fam, complement=True)
         out.append((vals.max(), vals.min(), exact))
     return out
 

@@ -42,9 +42,28 @@ def test_parse_space_round_trip():
 
 
 def test_parse_space_errors():
-    for bad in ("lp:0", "lp:-1", "wavelets:2", "fpr:1,2", "lpq:2"):
+    for bad in ("lp:0", "lp:-1", "wavelets:2", "fpr:1,2", "lpq:2",
+                # non-finite parameters and trailing text
+                "lp:nan", "lp:inf", "fpr:nan,2,2,1", "lpq:nan,2", "bmo:inf", "lplq:2,inf",
+                "orlicz:pow:inf", "orlicz:powlog:2,nan", "orlicz:ulogu:3",
+                # wrong parameter counts and a non-integer dimension
+                "orlicz:pow", "orlicz:powlog:2", "fpr:0,2,2,1.5", "lp:2,3", "hyp:4"):
         with pytest.raises(ParseError):
             parse_space(bad)
+
+
+def test_specs_are_values():
+    for label in ("lp:2", "lplq:1,2", "fpr:0,2,2,1", "lpq:2,4", "orlicz:pow:2",
+                  "orlicz:powlog:1,1", "orlicz:ulogu", "hyp:4,2", "bmo:2"):
+        a, b = parse_space(label), parse_space(label)
+        assert a is not b and a == b and hash(a) == hash(b)
+    # the family string is part of the space: the same Phi under two names
+    assert parse_space("orlicz:pow:2") != parse_space("orlicz:powlog:2,0")
+    # so two parses of one string share their element-norm cache entries
+    _element_norm_cached.cache_clear()
+    element_norm(parse_space("lpq:2,4"), Cube(3, (1,)))
+    element_norm(parse_space("lpq:2,4"), Cube(3, (5,)))
+    assert _element_norm_cached.cache_info()[:2] == (1, 1)
 
 
 def test_rho_values():

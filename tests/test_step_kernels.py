@@ -145,8 +145,7 @@ def _assert_batch_equals_scalar(spec, idx, vals, seed):
     vmap = dict(zip(idx, vals))
     masks = np.random.default_rng(seed).integers(0, 2, size=(12, n)).astype(float)
     for row, got in zip(masks, ev.norms(masks)):
-        sub = Sequence({ev.indices[i]: vmap[ev.indices[i]] for i in range(n) if row[i]},
-                       spec.universe)
+        sub = Sequence({idx[i]: vmap[idx[i]] for i in range(n) if row[i]}, spec.universe)
         assert got == pytest.approx(space_norm(spec, sub), rel=1e-12, abs=0.0)
 
 

@@ -29,13 +29,18 @@ def test_table_weight_range_error(tmp_path):
     path.write_text("1.0\n2.0\n3.0\n")
     w2 = parse_weight(f"table:{path}")
     assert w2(2) == 2.0
+    for bad in ("1.0\nnan\n", "1.0\ninf\n", "1.0\n2.0 x\n"):
+        path.write_text(bad)
+        with pytest.raises(ParseError):
+            parse_weight(f"table:{path}")
 
 
 def test_parse_weight():
     w = parse_weight("pow:0.5,1")
     assert abs(w(4) - 2 * math.log(5)) < 1e-15
-    with pytest.raises(ParseError):
-        parse_weight("exp:1")
+    for bad in ("exp:1", "pow:nan", "pow:0.5,inf", "pow:0.5,1,2", "pow:x"):
+        with pytest.raises(ParseError):
+            parse_weight(bad)
 
 
 def test_ratio_sup_examples():
