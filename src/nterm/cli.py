@@ -37,7 +37,7 @@ from .experiments import (
     standard_test_set,
     stechkin_check,
 )
-from .greedy import aspace_norm, gamma_profile, sigma_profile
+from .greedy import METHODS, aspace_norm, gamma_profile, sigma_profile
 from .indices import format_index
 from .lorentz import lorentz_norm
 from .sequences import Sequence
@@ -448,7 +448,7 @@ def build_parser():
     p.add_argument("sequence")
     p.add_argument("kind", choices=("sigma", "gamma"))
     p.add_argument("n_max", type=int, nargs="?")
-    p.add_argument("--method", choices=("auto", "exact", "greedy"), default="auto")
+    p.add_argument("--method", choices=METHODS, default="auto")
 
     p = sub.add_parser("aspace", help="approximation-space quasi-norm")
     p.add_argument("space")

@@ -10,11 +10,17 @@ magnitude-nonincreasing ordering. With the magnitudes sorted, that is the
 strict prefix [0, a) joined with each m-subset of the tie class a..b-1 that
 holds the N-th largest magnitude, m = N - a. A family of at most
 TIE_FAMILY_CAP sets is listed in combination order. A larger one is sampled
-and flagged: the two corner picks plus up to TIE_FAMILY_CAP distinct draws of
-Generator.choice(b - a, m, replace=False) from the context's default_rng(0),
-each sorted, with sampled steps drawn in increasing N. So a sequence always
-gets the same picks; the class size as population draws the same stream as
-the list of class positions would.
+and flagged: the two corner picks plus up to TIE_FAMILY_CAP distinct sorted
+picks of Generator.choice(t, m, replace=False), t = b - a, from the context's
+default_rng(0), with sampled steps drawn in increasing N. The draws are not
+made one call at a time. Each slice of _PICK_ROWS calls is one draw of the
+bounded integers the calls consume (Floyd's j = t-m..t-1, then the shuffle's
+i = m-1..1), followed by Floyd's insertion over a (rows x t) membership
+matrix; the shuffle draws only keep the stream aligned, since the set does not
+depend on their order. For t <= 10,000, where numpy's choice takes Floyd's
+branch, the picks, their set iteration order and the rng state after each
+step equal those of the per-call loop, so a sequence always gets the same
+picks.
 
 A profile stacks every step's residual masks in step order and evaluates them
 through BatchNorm.norms in blocks of at most MASK_CHUNK rows, never splitting
@@ -40,6 +46,9 @@ from .spaces import SpaceSpec, ambient_norm, element_norm
 
 TIE_FAMILY_CAP = 10_000
 SUBSET_CAP = 2_000_000
+METHODS = ("auto", "exact", "greedy")
+# sampled picks drawn, and converted to Python tuples, this many at a time
+_PICK_ROWS = 1 << 10
 
 
 class _Context:
@@ -110,17 +119,68 @@ class _Context:
             combos = chain.from_iterable(combinations(range(a, b), m))
             ties = np.fromiter(combos, np.intp, count * m).reshape(count, m)
         else:
-            picks = {tuple(range(a, a + m)), tuple(range(b - m, b))}
-            for _ in range(TIE_FAMILY_CAP):
-                draw = self.rng.choice(t, m, replace=False).tolist()
-                picks.add(tuple(sorted([a + i for i in draw])))
-                if len(picks) >= TIE_FAMILY_CAP:
-                    break
-            ties = np.array(list(picks), dtype=np.intp)
+            ties = self._sampled_ties(a, b, m)
         kept = np.empty((len(ties), N), dtype=np.intp)
         kept[:, :a] = np.arange(a)
         kept[:, a:] = ties
         return kept, count <= TIE_FAMILY_CAP
+
+    def _sampled_ties(self, a, b, m):
+        """The sampled m-subsets of the tie class a..b-1 (module docstring) as
+        int32 rows in the iteration order of their dedupe set. _PICK_ROWS
+        Floyd rows are drawn at a time and added to the corner-seeded set in
+        draw order until it holds TIE_FAMILY_CAP picks. Where the set fills
+        inside a slice, the stream is rewound to the slice's start and advanced
+        by the rows used, so the rng ends where that many Generator.choice
+        calls leave it. The set goes on return, before the caller builds the
+        kept rows."""
+        t = b - a
+        seen = {tuple(range(a, a + m)), tuple(range(b - m, b))}
+        for start in range(0, TIE_FAMILY_CAP, _PICK_ROWS):
+            state = self.rng.bit_generator.state
+            rows = min(_PICK_ROWS, TIE_FAMILY_CAP - start)
+            picks = zip(*(_floyd_picks(self.rng, t, m, rows) + a).T.tolist())
+            if len(seen) + rows < TIE_FAMILY_CAP:  # the slice cannot fill the set
+                seen.update(picks)
+                continue
+            for used, row in enumerate(picks, 1):
+                seen.add(row)
+                if len(seen) >= TIE_FAMILY_CAP:
+                    self.rng.bit_generator.state = state
+                    _floyd_draws(self.rng, t, m, used)
+                    return _tie_rows(seen, m)
+        return _tie_rows(seen, m)
+
+
+def _tie_rows(picks, m):
+    return np.fromiter(chain.from_iterable(picks), np.int32, len(picks) * m).reshape(-1, m)
+
+
+def _floyd_draws(rng, t, m, rows):
+    """The bounded integers that `rows` calls of rng.choice(t, m,
+    replace=False) consume, one call per row: Floyd's j = t-m..t-1, then the
+    shuffle's i = m-1..1, each drawn from 0..bound."""
+    bounds = np.concatenate((np.arange(t - m, t), np.arange(m - 1, 0, -1)))
+    return rng.integers(0, bounds.astype(np.int32), size=(rows, 2 * m - 1),
+                        endpoint=True, dtype=np.int32)
+
+
+def _floyd_picks(rng, t, m, rows):
+    """The sorted picks of `rows` calls of rng.choice(t, m, replace=False) as
+    an int array, one call per row, from one draw of the same stream.
+
+    Floyd's algorithm inserts, at step j, the draw v in 0..j, or j itself when
+    v is already in the set. That is the branch numpy takes for t <= 10,000
+    (and beyond it for m <= t // 50), so for those the picks and the rng state
+    after the call equal the calls'. The shuffle only orders the set; its draws
+    are consumed to keep the stream aligned."""
+    draws = _floyd_draws(rng, t, m, rows)
+    member = np.zeros((rows, t), dtype=bool)
+    flat, row = member.reshape(-1), np.arange(0, rows * t, t)
+    for k, j in enumerate(range(t - m, t)):
+        v = row + draws[:, k]
+        flat[np.where(flat[v], row + j, v)] = True
+    return np.nonzero(member)[1].reshape(rows, m)
 
 
 @dataclass
@@ -245,6 +305,8 @@ def sigma_profile(seq, spec, method="auto"):
     N, and "auto" sweeps when 2^n <= 2 * SUBSET_CAP and takes the greedy bound
     otherwise.
     """
+    if method not in METHODS:
+        raise ParseError("method must be auto, exact or greedy")
     ctx = _Context(seq, spec)
     n = ctx.n
     vals = np.zeros(n + 1)
@@ -290,8 +352,14 @@ def aspace_norm(
     """
     if finite(alpha, "alpha") <= 0:
         raise ParseError("alpha must be positive")
-    if q <= 0:
+    if not q > 0:
         raise ParseError("q must be positive")
+    if error_kind not in ("sigma", "gamma"):
+        raise ParseError("error_kind must be sigma or gamma")
+    if form not in ("full", "dyadic"):
+        raise ParseError("form must be full or dyadic")
+    if method not in METHODS:
+        raise ParseError("method must be auto, exact or greedy")
     base = ambient_norm(spec, seq)
     profile = (
         sigma_profile(seq, spec, method=method)
@@ -304,14 +372,12 @@ def aspace_norm(
     if form == "full":
         Ns = range(1, n + 1)
         terms = [(N, profile.value(N)) for N in Ns]
-    elif form == "dyadic":
+    else:
         terms = []
         k = 0
         while 2**k <= n:
             terms.append((2**k, profile.value(2**k)))
             k += 1
-    else:
-        raise ParseError("form must be full or dyadic")
     if math.isinf(q):
         tail = max((N**alpha * e for N, e in terms), default=0.0)
     else:

@@ -8,7 +8,7 @@ import pytest
 from conftest import ALL_SPACE_LABELS
 from nterm import greedy
 from nterm.batch import KERNEL_ROWS, MASK_CHUNK
-from nterm.errors import FeasibilityError, NumericError
+from nterm.errors import FeasibilityError, NumericError, ParseError
 from nterm.experiments import attach, canonical_indices
 from nterm.greedy import (
     _Context,
@@ -158,22 +158,98 @@ def test_families_match_oracle(rng):
             assert [tuple(row) for row in kept.tolist()] == want
 
 
-def test_sampled_picks_match_oracle_one_for_one():
-    # a class of 16 after a strict prefix of 3: C(16, m) > TIE_FAMILY_CAP at
-    # m = 7..9, so those steps sample; with the same default_rng(0) stream,
-    # drawn in the same step order, the picks and their order are the oracle's
-    seq = Sequence({k: 2.0 if k <= 3 else 1.0 for k in range(1, 20)})
+def _sampler_against_oracle(seq, Ns):
+    """Each step's picks and their row order, and the rng state after the step,
+    against the oracle drawing on its own default_rng(0) in the same step order.
+    Returns (N, m, rows) for each sampled step."""
     ctx = _Context(seq, L1)
     rng = np.random.default_rng(0)
     sampled = []
-    for N in range(ctx.n):
+    for N in Ns:
         kept, exact = ctx.greedy_kept(N)
         want, want_exact = _oracle_kept(ctx, N, rng)
         assert exact == want_exact
         assert [tuple(row) for row in kept.tolist()] == want, N
+        assert ctx.rng.bit_generator.state == rng.bit_generator.state, N
         if not exact:
-            sampled.append(N - 3)
-    assert sampled == [7, 8, 9]
+            sampled.append((N, N - ctx._tie_class(N)[0], len(kept)))
+    return sampled
+
+
+def test_sampled_picks_match_oracle_one_for_one():
+    # a class of 16 after a strict prefix of 3: C(16, m) > TIE_FAMILY_CAP at
+    # m = 7..9, so those steps sample; with the same default_rng(0) stream,
+    # drawn in the same step order, the picks and their order are the oracle's.
+    # With at most C(16, 8) = 12,870 sets the dedupe set never fills, so every
+    # step uses all TIE_FAMILY_CAP draws
+    seq = Sequence({k: 2.0 if k <= 3 else 1.0 for k in range(1, 20)})
+    sampled = _sampler_against_oracle(seq, range(20))
+    assert [m for _, m, _ in sampled] == [7, 8, 9]
+    assert all(rows < greedy.TIE_FAMILY_CAP for _, _, rows in sampled)
+
+
+def test_sampler_rewinds_where_the_set_fills():
+    # C(30, m) >= 1.4e8 at m = 14..16: the corner-seeded set fills after 9,998
+    # draws, inside the last slice of Floyd rows, so the stream is rewound and
+    # advanced by the rows used; the next step must continue from there
+    seq = Sequence({k: 1.0 for k in range(1, 31)})
+    sampled = _sampler_against_oracle(seq, (14, 15, 16))
+    assert sampled == [(N, N, greedy.TIE_FAMILY_CAP) for N in (14, 15, 16)]
+
+
+def test_sampler_on_an_all_ones_class_of_63():
+    # the shape of the 63-interval Jackson tree: one class of 63 at offset 0
+    seq = Sequence({k: 1.0 for k in range(1, 64)})
+    sampled = _sampler_against_oracle(seq, (2, 3, 31, 60, 61))
+    assert [m for _, m, _ in sampled] == [3, 31, 60]
+
+
+def test_sampler_streams_across_two_classes():
+    # two sampled classes of 16, the second at offset 16, and a listed tail:
+    # one context draws both classes from one stream
+    seq = Sequence({k: 2.0 if k <= 16 else 1.0 if k <= 32 else 0.5 for k in range(1, 37)})
+    sampled = _sampler_against_oracle(seq, range(37))
+    assert [(N, m) for N, m, _ in sampled] == [(7, 7), (8, 8), (9, 9), (23, 7), (24, 8), (25, 9)]
+
+
+@pytest.mark.parametrize("t,m", [(16, 7), (63, 31), (63, 62), (10_000, 3), (10_000, 5_000),
+                                 (20_000, 400)])
+def test_floyd_picks_replay_choice(t, m):
+    # numpy draws by Floyd's algorithm for t <= 10,000, and beyond while
+    # m <= t // 50; start half-way through a 64-bit output of the generator
+    rng, ref = np.random.default_rng(1), np.random.default_rng(1)
+    rng.integers(0, 7, dtype=np.int32)
+    ref.integers(0, 7, dtype=np.int32)
+    assert rng.bit_generator.state["has_uint32"] == 1
+    got = greedy._floyd_picks(rng, t, m, 5)
+    want = [sorted(ref.choice(t, m, replace=False).tolist()) for _ in range(5)]
+    assert got.tolist() == want
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_sampled_step_memory_is_bounded_by_its_rows():
+    # one sampled step (class of 16 after a prefix of 3, m = 7..9) and its
+    # residual masks hold at most TIE_FAMILY_CAP kept rows of n intp and as many
+    # mask rows of n bools. The Floyd draws, membership rows and Python picks
+    # live one slice at a time, and the dedupe set (one tuple of m ints per
+    # pick) is freed before the kept rows are built
+    seq = Sequence({k: 2.0 if k <= 3 else 1.0 for k in range(1, 20)})
+    ctx = _Context(seq, L1)
+    n, ev = ctx.n, ctx.evaluator
+    bound = greedy.TIE_FAMILY_CAP * n * 8 + greedy.TIE_FAMILY_CAP * n
+    for N in range(10):
+        ctx.greedy_kept(N)
+    peaks = []
+    for N in (10, 11, 12):
+        tracemalloc.start()
+        try:
+            kept, exact = ctx.greedy_kept(N)
+            ev.subset_masks(kept, complement=True)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert not exact
+    assert max(peaks) < bound, ([p / 2**20 for p in peaks], bound / 2**20)
 
 
 # tie classes per space: small supports, every class listed in full, plus one
@@ -351,6 +427,16 @@ def test_sweep_matches_scan_across_mask_blocks():
         assert prof.values.tolist() == want, label
 
 
+@pytest.mark.parametrize("label,n", [("hyp:4,2", 12), ("fpr:0,2,2,1", 14)])
+def test_sweep_bit_order_matches_scan(label, n):
+    # position c at bit n-1-c puts each popcount class in the scan's
+    # combination order; with the bits reversed, N = 2 and 4 move by an ulp
+    spec = parse_space(label)
+    seq = attach(spec, np.random.default_rng(n).permutation(np.exp(np.linspace(-2, 2, n))))
+    prof = sigma_profile(seq, spec, method="exact")
+    assert prof.values.tolist() == [sigma_n_exact(seq, N, spec).value for N in range(n)] + [0.0]
+
+
 @pytest.mark.parametrize("label", ["lp:2", "lplq:2,1"])
 def test_sigma_profile_feasibility_rule(monkeypatch, rng, label):
     # exact refuses when some C(n, N) exceeds the cap; auto sweeps while
@@ -424,6 +510,17 @@ def test_aspace_parameter_validation():
         aspace_norm(Sequence({1: 1.0}), -1.0, 2.0, L2)
     with pytest.raises(ValueError):
         aspace_norm(Sequence({1: 1.0}), 1.0, 0.0, L2)
+    # misspelt options and q = nan used to return a number (nan, the greedy
+    # bound or the gamma norm), on empty sequences too
+    for seq in (Sequence({1: 1.0, 2: 0.5}), Sequence({})):
+        with pytest.raises(ParseError, match="q must be positive"):
+            aspace_norm(seq, 1.0, math.nan, L2)
+        for option in ({"error_kind": "gamm"}, {"form": "dyadc"}, {"method": "exatc"}):
+            with pytest.raises(ParseError, match=next(iter(option))):
+                aspace_norm(seq, 1.0, 2.0, L2, **option)
+        with pytest.raises(ParseError, match="method"):
+            sigma_profile(seq, L2, method="exatc")
+        assert aspace_norm(seq, 1.0, math.inf, L2, error_kind="gamma", form="dyadic") >= 0
 
 
 def test_aspace_dyadic_full_band(rng):
