@@ -13,8 +13,8 @@ TIE_FAMILY_CAP sets is listed in combination order. A larger one is sampled
 and flagged: the two corner picks plus up to TIE_FAMILY_CAP distinct sorted
 picks of Generator.choice(t, m, replace=False), t = b - a, from the context's
 default_rng(0), with sampled steps drawn in increasing N. The draws are not
-made one call at a time. Each slice of _PICK_ROWS calls is one draw of the
-bounded integers the calls consume (Floyd's j = t-m..t-1, then the shuffle's
+made one call at a time. Each batch of up to _PICK_ROWS calls is one draw of
+the bounded integers the calls consume (Floyd's j = t-m..t-1, then the shuffle's
 i = m-1..1), followed by Floyd's insertion over a (rows x t) membership
 matrix; the shuffle draws only keep the stream aligned, since the set does not
 depend on their order. For t <= 10,000, where numpy's choice takes Floyd's
@@ -127,42 +127,20 @@ class _Context:
 
     def _sampled_ties(self, a, b, m):
         """The sampled m-subsets of the tie class a..b-1 (module docstring) as
-        int32 rows in the iteration order of their dedupe set. _PICK_ROWS
-        Floyd rows are drawn at a time and added to the corner-seeded set in
-        draw order until it holds TIE_FAMILY_CAP picks. Where the set fills
-        inside a slice, the stream is rewound to the slice's start and advanced
-        by the rows used, so the rng ends where that many Generator.choice
-        calls leave it. The set goes on return, before the caller builds the
-        kept rows."""
+        int32 rows in the iteration order of their dedupe set. Floyd rows are
+        drawn in batches and added to the corner-seeded set in draw order until
+        it holds TIE_FAMILY_CAP picks or TIE_FAMILY_CAP rows are drawn. A batch
+        never has more rows than the set can still take, so it can fill the set
+        only on its last row and the rng ends where the per-call loop leaves
+        it. The set goes on return, before the caller builds the kept rows."""
         t = b - a
         seen = {tuple(range(a, a + m)), tuple(range(b - m, b))}
-        for start in range(0, TIE_FAMILY_CAP, _PICK_ROWS):
-            state = self.rng.bit_generator.state
-            rows = min(_PICK_ROWS, TIE_FAMILY_CAP - start)
-            picks = zip(*(_floyd_picks(self.rng, t, m, rows) + a).T.tolist())
-            if len(seen) + rows < TIE_FAMILY_CAP:  # the slice cannot fill the set
-                seen.update(picks)
-                continue
-            for used, row in enumerate(picks, 1):
-                seen.add(row)
-                if len(seen) >= TIE_FAMILY_CAP:
-                    self.rng.bit_generator.state = state
-                    _floyd_draws(self.rng, t, m, used)
-                    return _tie_rows(seen, m)
-        return _tie_rows(seen, m)
-
-
-def _tie_rows(picks, m):
-    return np.fromiter(chain.from_iterable(picks), np.int32, len(picks) * m).reshape(-1, m)
-
-
-def _floyd_draws(rng, t, m, rows):
-    """The bounded integers that `rows` calls of rng.choice(t, m,
-    replace=False) consume, one call per row: Floyd's j = t-m..t-1, then the
-    shuffle's i = m-1..1, each drawn from 0..bound."""
-    bounds = np.concatenate((np.arange(t - m, t), np.arange(m - 1, 0, -1)))
-    return rng.integers(0, bounds.astype(np.int32), size=(rows, 2 * m - 1),
-                        endpoint=True, dtype=np.int32)
+        drawn = 0
+        while drawn < TIE_FAMILY_CAP and len(seen) < TIE_FAMILY_CAP:
+            rows = min(_PICK_ROWS, TIE_FAMILY_CAP - drawn, TIE_FAMILY_CAP - len(seen))
+            seen.update(zip(*(_floyd_picks(self.rng, t, m, rows) + a).T.tolist()))
+            drawn += rows
+        return np.fromiter(chain.from_iterable(seen), np.int32, len(seen) * m).reshape(-1, m)
 
 
 def _floyd_picks(rng, t, m, rows):
@@ -174,7 +152,9 @@ def _floyd_picks(rng, t, m, rows):
     (and beyond it for m <= t // 50), so for those the picks and the rng state
     after the call equal the calls'. The shuffle only orders the set; its draws
     are consumed to keep the stream aligned."""
-    draws = _floyd_draws(rng, t, m, rows)
+    bounds = np.concatenate((np.arange(t - m, t), np.arange(m - 1, 0, -1)))
+    draws = rng.integers(0, bounds.astype(np.int32), size=(rows, 2 * m - 1),
+                         endpoint=True, dtype=np.int32)
     member = np.zeros((rows, t), dtype=bool)
     flat, row = member.reshape(-1), np.arange(0, rows * t, t)
     for k, j in enumerate(range(t - m, t)):
@@ -297,6 +277,11 @@ def _sigma_all(ctx):
     return mins ** (1.0 / ctx.spec.p) if ctx.spec.tag == "lp" else mins
 
 
+def _check_method(method):
+    if method not in METHODS:
+        raise ParseError(f"method must be one of {', '.join(METHODS)}")
+
+
 def sigma_profile(seq, spec, method="auto"):
     """Profile of optimal errors sigma_N, N = 0..|supp|.
 
@@ -305,8 +290,7 @@ def sigma_profile(seq, spec, method="auto"):
     N, and "auto" sweeps when 2^n <= 2 * SUBSET_CAP and takes the greedy bound
     otherwise.
     """
-    if method not in METHODS:
-        raise ParseError("method must be auto, exact or greedy")
+    _check_method(method)
     ctx = _Context(seq, spec)
     n = ctx.n
     vals = np.zeros(n + 1)
@@ -358,8 +342,8 @@ def aspace_norm(
         raise ParseError("error_kind must be sigma or gamma")
     if form not in ("full", "dyadic"):
         raise ParseError("form must be full or dyadic")
-    if method not in METHODS:
-        raise ParseError("method must be auto, exact or greedy")
+    if error_kind == "gamma":
+        _check_method(method)  # sigma_profile checks it on the sigma path
     base = ambient_norm(spec, seq)
     profile = (
         sigma_profile(seq, spec, method=method)

@@ -190,8 +190,8 @@ def test_sampled_picks_match_oracle_one_for_one():
 
 def test_sampler_rewinds_where_the_set_fills():
     # C(30, m) >= 1.4e8 at m = 14..16: the corner-seeded set fills after 9,998
-    # draws, inside the last slice of Floyd rows, so the stream is rewound and
-    # advanced by the rows used; the next step must continue from there
+    # draws, before TIE_FAMILY_CAP rows are drawn, so the stream must stop at
+    # the row that fills it; the next step must continue from there
     seq = Sequence({k: 1.0 for k in range(1, 31)})
     sampled = _sampler_against_oracle(seq, (14, 15, 16))
     assert sampled == [(N, N, greedy.TIE_FAMILY_CAP) for N in (14, 15, 16)]
@@ -231,7 +231,7 @@ def test_sampled_step_memory_is_bounded_by_its_rows():
     # one sampled step (class of 16 after a prefix of 3, m = 7..9) and its
     # residual masks hold at most TIE_FAMILY_CAP kept rows of n intp and as many
     # mask rows of n bools. The Floyd draws, membership rows and Python picks
-    # live one slice at a time, and the dedupe set (one tuple of m ints per
+    # live one batch at a time, and the dedupe set (one tuple of m ints per
     # pick) is freed before the kept rows are built
     seq = Sequence({k: 2.0 if k <= 3 else 1.0 for k in range(1, 20)})
     ctx = _Context(seq, L1)
@@ -520,6 +520,8 @@ def test_aspace_parameter_validation():
                 aspace_norm(seq, 1.0, 2.0, L2, **option)
         with pytest.raises(ParseError, match="method"):
             sigma_profile(seq, L2, method="exatc")
+        with pytest.raises(ParseError, match="method"):
+            aspace_norm(seq, 1.0, 2.0, L2, error_kind="gamma", method="exatc")
         assert aspace_norm(seq, 1.0, math.inf, L2, error_kind="gamma", form="dyadic") >= 0
 
 
