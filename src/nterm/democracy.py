@@ -41,10 +41,29 @@ def default_universe(spec: SpaceSpec, size=None):
 
     integers 1..64; cubes of levels 0..J in [0,1)^d with |U| <= 4096;
     intervals of [0,1) to depth 12; rectangles of [0,1)^2 with level sum <= 10;
-    paired streams of 32 + 32. Cached per (universe kind, dimension, size);
-    treat the returned index list as read-only.
+    paired streams of 32 + 32. Dyadic universes run level by level
+    (_cubes_at, _rects_at), the order the structured families slice.
+    Cached per (universe kind, dimension, size); treat the returned index
+    list as read-only.
     """
     return _default_universe_cached(spec.universe, spec.d, size)
+
+
+def _cubes_at(d, level, count=None):
+    """The first `count` cubes of one level (the whole level by default), the
+    first coordinate varying fastest."""
+    size = 2 ** (level * d)
+    count = size if count is None else count
+    if count > size:
+        raise FeasibilityError(f"cannot place {count} disjoint cubes at level {level}")
+    mask, shifts = 2**level - 1, [level * i for i in range(d)]
+    return [Cube(level, tuple([flat >> s & mask for s in shifts])) for flat in range(count)]
+
+
+def _rects_at(total):
+    """The rectangles of [0,1)^2 with level sum `total`, in (j1, k1, k2) order."""
+    return [Rect((interval(j1, k1), interval(total - j1, k2)))
+            for j1 in range(total + 1) for k1 in range(2**j1) for k2 in range(2 ** (total - j1))]
 
 
 @lru_cache(maxsize=64)
@@ -58,27 +77,20 @@ def _default_universe_cached(kind, d, size):
         return Universe(kind, idx, f"pair streams 1..{n}")
     if kind == "interval":
         depth = size or 12
-        idx = [interval(j, k) for j in range(depth + 1) for k in range(2**j)]
+        idx = [c for j in range(depth + 1) for c in _cubes_at(1, j)]
         return Universe(kind, idx, f"intervals to depth {depth}")
     if kind == "cube":
         cap = size or 4096
-        idx = []
-        j = 0
+        idx, j = [], 0
         while len(idx) + 2 ** (j * d) <= cap:
-            idx.extend(_same_size_cubes(d, 2 ** (j * d), j))
+            idx += _cubes_at(d, j)
             j += 1
         return Universe(kind, idx, f"cubes to level {j-1} in [0,1)^{d}")
     if kind == "rect":
         if d != 2:
             raise FeasibilityError("default rectangle universe is two-dimensional")
         cap = size or 10
-        idx = []
-        for total in range(cap + 1):
-            for j1 in range(total + 1):
-                j2 = total - j1
-                for k1 in range(2**j1):
-                    for k2 in range(2**j2):
-                        idx.append(Rect((interval(j1, k1), interval(j2, k2))))
+        idx = [r for total in range(cap + 1) for r in _rects_at(total)]
         return Universe(kind, idx, f"rectangles with level sum <= {cap}")
     raise AssertionError(kind)
 
@@ -87,95 +99,57 @@ def _default_universe_cached(kind, d, size):
 # structured extremizer families
 # ---------------------------------------------------------------------------
 
-def _same_size_cubes(d, N, level=None):
-    if level is None:
-        level = max(1, math.ceil(math.log2(N) / d)) if N > 1 else 1
-    if N > 2 ** (level * d):
-        raise FeasibilityError(f"cannot place {N} disjoint cubes at level {level}")
-    out = []
-    for flat in range(N):
-        k = []
-        rem = flat
-        for _ in range(d):
-            k.append(rem % 2**level)
-            rem //= 2**level
-        out.append(Cube(level, tuple(k)))
-    return out
-
-
 def structured_family(spec: SpaceSpec, N, family):
     """Index set of the named extremizer family at size N.
 
-    Families: same-size-disjoint, different-sizes, nested-tower, full-tree,
+    Families (family_catalog lists each space's): same-size-disjoint,
+    different-sizes, nested-tower, full-tree (the level-order prefix),
     level-optimized (Orlicz same-size at the ratio-maximizing level),
     fixed-size-rects (all rectangles of one size, sliced to N canonically),
     stream-a / stream-b / balanced (paired-stream universes).
     """
+    catalog = family_catalog(spec)
+    if family not in catalog:
+        raise ParseError(
+            f"family {family!r} not available for {spec.label()} (choose from {', '.join(catalog)})"
+        )
     kind = spec.universe
     if kind == "integer":
         return list(range(1, N + 1))
     if kind == "pair":
-        if family == "stream-b":
-            return [Pair(1, k) for k in range(1, N + 1)]
-        if family == "balanced":
-            half = N // 2
-            return [Pair(0, k) for k in range(1, N - half + 1)] + [
-                Pair(1, k) for k in range(1, half + 1)
-            ]
-        return [Pair(0, k) for k in range(1, N + 1)]
-    if kind in ("cube", "interval"):
-        d = spec.d if kind == "cube" else 1
-        if family == "same-size-disjoint":
-            return _same_size_cubes(d, N)
-        if family == "different-sizes":
-            return [Cube(i, (1,) + (0,) * (d - 1)) for i in range(1, N + 1)]
-        if family == "nested-tower":
-            return [Cube(i, (0,) * d) for i in range(N)]
-        if family == "full-tree":
-            out = []
-            j = 0
-            while len(out) < N:
-                out.extend(_same_size_cubes(d, min(2 ** (j * d), N - len(out)), j))
-                j += 1
-            return out
-        if family == "level-optimized":
-            if spec.tag != "orlicz":
-                raise ParseError("level-optimized family is for orlicz spaces")
-            phi = spec.orlicz.fundamental
-            best, best_level = -math.inf, 0
-            for lev in range(ORLICZ_LEVEL_RANGE):
-                s = 2.0 ** (-lev * d)
-                ratio = phi(N * s) / phi(s)
-                if ratio > best:
-                    best, best_level = ratio, lev
-            lev = max(best_level, math.ceil(math.log2(max(N, 2)) / d))
-            return _same_size_cubes(d, N, lev)
-        raise ParseError(f"family {family!r} not available for {kind} universes")
+        b = {"stream-a": 0, "stream-b": N, "balanced": N // 2}[family]
+        return [Pair(0, k) for k in range(1, N - b + 1)] + [Pair(1, k) for k in range(1, b + 1)]
     if kind == "rect":
         if spec.d != 2:
             raise FeasibilityError("rectangle families are two-dimensional")
-        if family == "same-size-disjoint":
-            lev = max(1, math.ceil(math.log2(N)))
-            if N > 2**lev:
-                raise FeasibilityError("too many disjoint rectangles at this level")
-            return [Rect((interval(lev, k), interval(0, 0))) for k in range(N)]
-        if family == "different-sizes":
-            return [Rect((interval(i, 1), interval(0, 0))) for i in range(1, N + 1)]
         if family == "fixed-size-rects":
             n = 0
-            while (n + 1) * 2**n < N:
+            while (n + 1) * 2**n < N:  # (n + 1) 2^n rectangles have level sum n
                 n += 1
-            out = []
-            for j1 in range(n + 1):
-                j2 = n - j1
-                for k1 in range(2**j1):
-                    for k2 in range(2**j2):
-                        out.append(Rect((interval(j1, k1), interval(j2, k2))))
-                        if len(out) == N:
-                            return out
-            return out
-        raise ParseError(f"family {family!r} not available for rect universes")
-    raise AssertionError(kind)
+            return _rects_at(n)[:N]
+        return [Rect((c, interval(0, 0))) for c in _dyadic_family(spec, 1, N, family)]
+    return _dyadic_family(spec, spec.d if kind == "cube" else 1, N, family)
+
+
+def _dyadic_family(spec, d, N, family):
+    """A cube family in [0,1)^d; rectangle families take its d = 1 form."""
+    if family == "different-sizes":
+        return [Cube(i, (1,) + (0,) * (d - 1)) for i in range(1, N + 1)]
+    if family == "nested-tower":
+        return [Cube(i, (0,) * d) for i in range(N)]
+    if family == "full-tree":
+        out, j = [], 0
+        while len(out) < N:
+            out += _cubes_at(d, j, min(2 ** (j * d), N - len(out)))
+            j += 1
+        return out
+    level = math.ceil(math.log2(max(N, 2)) / d)  # the coarsest level that holds N cubes
+    if family == "level-optimized":
+        phi = spec.orlicz.fundamental
+        ratios = [phi(N * 2.0 ** (-lev * d)) / phi(2.0 ** (-lev * d))
+                  for lev in range(ORLICZ_LEVEL_RANGE)]
+        level = max(level, ratios.index(max(ratios)))
+    return _cubes_at(d, level, N)
 
 
 FAMILY_CATALOG = {
@@ -205,13 +179,16 @@ def h_structured(spec, N, family):
 
 
 def structured_values(spec, N):
-    """family -> h_structured at N for each catalog family feasible at N."""
+    """family -> h_structured at N for each catalog family feasible at N;
+    FeasibilityError when none is."""
     vals = {}
     for family in family_catalog(spec):
         try:
             vals[family] = h_structured(spec, N, family)
         except FeasibilityError:
             pass
+    if not vals:
+        raise FeasibilityError(f"no structured family of {spec.label()} feasible at N={N}")
     return vals
 
 
@@ -283,8 +260,6 @@ def democracy_profile(spec, N_list, strategy="auto", universe=None):
             )
         else:
             vals = structured_values(spec, N)
-            if not vals:
-                raise FeasibilityError(f"no structured family feasible at N={N}")
             fmin = min(vals, key=vals.get)
             fmax = max(vals, key=vals.get)
             rows.append(
@@ -338,15 +313,11 @@ def _structure_checks(prof: DemocracyProfile):
 def default_stable_family(spec, n):
     """The family used for the half-subset check at size 2^n, following the
     extremizer structure of each space."""
-    N = 2**n
-    if spec.tag == "orlicz":
-        return structured_family(spec, N, "level-optimized")
-    if spec.tag == "lpq":
-        fam = "same-size-disjoint" if spec.p <= spec.q else "different-sizes"
-        return structured_family(spec, N, fam)
-    if spec.tag == "hyp":
-        return structured_family(spec, N, "fixed-size-rects")
-    return structured_family(spec, N, "same-size-disjoint")
+    family = {"orlicz": "level-optimized", "hyp": "fixed-size-rects", "lplq": "stream-a"}.get(
+        spec.tag, "same-size-disjoint")
+    if spec.tag == "lpq" and spec.p > spec.q:
+        family = "different-sizes"
+    return structured_family(spec, 2**n, family)
 
 
 def property_h_check(spec, n, gamma_set=None, samples=200, rng=None):
@@ -371,7 +342,7 @@ def property_h_check(spec, n, gamma_set=None, samples=200, rng=None):
             pick = rng.choice(size, size=half, replace=False)
             subsets.append([gamma_set[i] for i in sorted(pick)])
     vals = np.array([normalized_indicator_norm(spec, s) for s in subsets])
-    href = max(structured_values(spec, half).values(), default=0.0)
+    href = max(structured_values(spec, half).values())
     spread = float(vals.max() / vals.min())
     return {
         "n": n,

@@ -25,6 +25,7 @@ TEST_SET_SIZE = 12  # sequences per standard test set
 TWO_BLOCK_GRID = 48  # geometric grid of k in the two-block witness norms
 TWO_BLOCK_SAMPLES = 4  # sampled tie choices per k in the two-block gamma
 RATE_GRID = 40  # geometric grid points of the non-linearity rate fits
+EXACT_COUNT_BITS = 2**14  # size cap of the integers the exact block counts compare
 
 
 # ---------------------------------------------------------------------------
@@ -245,8 +246,6 @@ def _extremal_families(spec, p_N, q_N):
     """(left family at p_N, right family at q_N) per the structured catalog."""
     lows = structured_values(spec, p_N)
     highs = structured_values(spec, q_N)
-    if not lows or not highs:
-        raise FeasibilityError("no structured family feasible at the requested sizes")
     return min(lows, key=lows.get), max(highs, key=highs.get)
 
 
@@ -257,6 +256,8 @@ def cor72_schedule(s, r):
 
 
 def cor73_schedule(a, b):
+    if not (a >= 0 and b >= 0):
+        raise ParseError("cor73 schedule needs integers a, b >= 0")
     return lambda N: (N**a * 2 ** (N**b), 2 ** (N**b))
 
 
@@ -386,8 +387,11 @@ def nonlinearity_demo(p, q, alpha, K):
     """Greedy-error decay of the two power-tail streams and of their sum in
     the direct-sum space, with exact block counts and log-log rate fits.
 
-    Needs 0 < q < p. Coefficient streams: first component k^(-beta) with
-    beta = alpha + 1/p, second component j^(-gamma) with gamma = alpha + 1/q.
+    Needs 0 < q < p < inf. Coefficient streams: first component k^(-beta) with
+    beta = alpha + 1/p, second component j^(-gamma) with gamma = alpha + 1/q,
+    both read as the decimals alpha, p and q print as. The block counts compare
+    k^bn with j^gn over a common denominator, so exponents with many decimal
+    digits raise FeasibilityError once those integers pass EXACT_COUNT_BITS.
 
     ``insufficient_range`` is True when the fitted slopes cannot be trusted:
     the block grid has fewer than 8 points, a fit is missing (under 4 positive
@@ -396,10 +400,12 @@ def nonlinearity_demo(p, q, alpha, K):
     dropping it would leave fewer than 4 points, so a small K yields fits over
     a short, pre-asymptotic range whose slopes are off the exact exponents.
     """
-    if not 0 < q < p:
-        raise ParseError("needs 0 < q < p")
-    beta = Fraction(alpha) + Fraction(1) / Fraction(p)
-    gamma = Fraction(alpha) + Fraction(1) / Fraction(q)
+    if not 0 < q < p < math.inf:
+        raise ParseError("needs 0 < q < p < inf")
+    # Fraction(0.1) would have denominator 2^55
+    alpha_f, p_f, q_f = (Fraction(repr(float(x))) for x in (alpha, p, q))
+    beta = alpha_f + 1 / p_f
+    gamma = alpha_f + 1 / q_f
     bf, gf = float(beta), float(gamma)
     xs = StreamTail(bf * p, K)
     ys = StreamTail(gf * q, K)
@@ -408,6 +414,11 @@ def nonlinearity_demo(p, q, alpha, K):
     L = math.lcm(beta.denominator, gamma.denominator)
     bn = beta.numerator * (L // beta.denominator)
     gn = gamma.numerator * (L // gamma.denominator)
+    if bn * K.bit_length() > EXACT_COUNT_BITS:
+        raise FeasibilityError(
+            f"exact block counts compare {bn * K.bit_length()}-bit integers (cap "
+            f"{EXACT_COUNT_BITS}); give alpha, p and q with fewer decimal digits"
+        )
     cutoffs = [0]
     j = 1
     while True:

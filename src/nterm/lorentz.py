@@ -19,7 +19,7 @@ def lorentz_norm(seq: Sequence, w: Weight, q):
     The finite-q sum runs in magnitude-descending order with exact (fsum)
     accumulation since terms can span many decades.
     """
-    if q <= 0:
+    if not q > 0:
         raise ValueError("q must be positive")
     vals = rearrange(seq).values
     n = len(vals)
@@ -34,7 +34,7 @@ def lorentz_norm(seq: Sequence, w: Weight, q):
 
 def lorentz_norm_dyadic(seq: Sequence, w: Weight, q, kappa=2):
     """[sum_{j>=0} (eta(kappa^j) s*_{kappa^j})^q]^(1/q), truncated at the support."""
-    if q <= 0:
+    if not q > 0:
         raise ValueError("q must be positive")
     if kappa < 2:
         raise ValueError("kappa must be an integer >= 2")

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -172,6 +173,21 @@ def test_experiment_nonlinear_smoke(capsys):
     assert res["insufficient_range"] is False
 
 
+def test_experiment_nonlinear_decimal_exponents(capsys):
+    # exponents count as the decimals written: 0.1 is 1/10, not a 55-bit binary fraction
+    start = time.perf_counter()
+    assert main(["experiment", "nonlinear", "--p", "2", "--q", "1",
+                 "--alpha", "0.1", "--K", "1000"]) == 0
+    assert time.perf_counter() - start < 1.0
+    assert json.loads(capsys.readouterr().out)["counts_match_inequality"] is True
+    # a nine-digit alpha would make the exact counts compare billion-bit integers
+    start = time.perf_counter()
+    assert main(["experiment", "nonlinear", "--p", "2", "--q", "1",
+                 "--alpha", "0.123456789", "--K", "1000"]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert "-bit integers" in capsys.readouterr().err
+
+
 def test_experiment_democracy_config_file(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"space": "lp:2", "N": "1,2,4", "strategy": "structured"}))
@@ -219,6 +235,9 @@ def test_parse_errors_exit_2(seqfile, tmp_path, capsys):
     assert main(["experiment", "stechkin", "--set", "trials=many"]) == 2
     assert main(["experiment", "prop71", "--space", "lpq:2,4",
                  "--schedule", "cor99:2,1"]) == 2
+    for schedule in ("cor73:1,-1", "cor73:-1,1"):
+        assert main(["experiment", "prop71", "--space", "lpq:2,4",
+                     "--schedule", schedule]) == 2, schedule
     cfg = tmp_path / "cfg.json"
     cfg.write_text("{not json")
     assert main(["experiment", "democracy", "--config", str(cfg)]) == 2
@@ -244,7 +263,7 @@ def test_parse_errors_exit_2(seqfile, tmp_path, capsys):
     assert main(["aspace", "lp:2", path, "--alpha", "1", "--q", "nan"]) == 2
     assert main(["experiment", "stechkin", "--alpha", "nan"]) == 2
     assert main(["experiment", "bernstein", "--space", "lp:2", "--alpha", "inf"]) == 2
-    assert capsys.readouterr().err.count("parse error:") == 40
+    assert capsys.readouterr().err.count("parse error:") == 42
 
 
 def test_unreadable_input_exit_2(tmp_path, capsys):

@@ -11,11 +11,12 @@ from nterm.democracy import (
     h_exhaustive,
     h_structured,
     induced_h,
+    default_stable_family,
     property_h_check,
     structured_family,
 )
 from nterm.errors import FeasibilityError, NumericError, ParseError
-from nterm.indices import Cube
+from nterm.indices import Cube, format_index
 from nterm.spaces import parse_space
 
 L2 = parse_space("lp:2")
@@ -62,6 +63,118 @@ def test_h_exhaustive_nonfinite_raises():
     uni = Universe("cube", [Cube(250 * i, (0,)) for i in range(6)])
     with pytest.raises(NumericError, match="non-finite"):
         h_exhaustive(spec, uni, 2)
+
+
+# every catalog family at N = 1, 5 and 8, order included (bmo sums its
+# columns in item order), for one space per universe; cube families count
+# the first coordinate fastest, rectangle slices run in (j1, k1, k2) order
+FAMILY_LISTS = {
+    ("lp:2", "same-size-disjoint"): ("1", "1 2 3 4 5", "1 2 3 4 5 6 7 8"),
+    ("lplq:1,2", "stream-a"): ("a:1", "a:1 a:2 a:3 a:4 a:5", "a:1 a:2 a:3 a:4 a:5 a:6 a:7 a:8"),
+    ("lplq:1,2", "stream-b"): ("b:1", "b:1 b:2 b:3 b:4 b:5", "b:1 b:2 b:3 b:4 b:5 b:6 b:7 b:8"),
+    ("lplq:1,2", "balanced"): ("a:1", "a:1 a:2 a:3 b:1 b:2", "a:1 a:2 a:3 a:4 b:1 b:2 b:3 b:4"),
+    ("fpr:0,2,2,2", "same-size-disjoint"): (
+        "1:0,0", "2:0,0 2:1,0 2:2,0 2:3,0 2:0,1",
+        "2:0,0 2:1,0 2:2,0 2:3,0 2:0,1 2:1,1 2:2,1 2:3,1"),
+    ("fpr:0,2,2,2", "different-sizes"): (
+        "1:1,0", "1:1,0 2:1,0 3:1,0 4:1,0 5:1,0",
+        "1:1,0 2:1,0 3:1,0 4:1,0 5:1,0 6:1,0 7:1,0 8:1,0"),
+    ("fpr:0,2,2,2", "nested-tower"): (
+        "0:0,0", "0:0,0 1:0,0 2:0,0 3:0,0 4:0,0",
+        "0:0,0 1:0,0 2:0,0 3:0,0 4:0,0 5:0,0 6:0,0 7:0,0"),
+    ("fpr:0,2,2,2", "full-tree"): (
+        "0:0,0", "0:0,0 1:0,0 1:1,0 1:0,1 1:1,1",
+        "0:0,0 1:0,0 1:1,0 1:0,1 1:1,1 2:0,0 2:1,0 2:2,0"),
+    ("orlicz:ulogu", "same-size-disjoint"): (
+        "1:0", "3:0 3:1 3:2 3:3 3:4", "3:0 3:1 3:2 3:3 3:4 3:5 3:6 3:7"),
+    ("orlicz:ulogu", "different-sizes"): (
+        "1:1", "1:1 2:1 3:1 4:1 5:1", "1:1 2:1 3:1 4:1 5:1 6:1 7:1 8:1"),
+    ("orlicz:ulogu", "nested-tower"): (
+        "0:0", "0:0 1:0 2:0 3:0 4:0", "0:0 1:0 2:0 3:0 4:0 5:0 6:0 7:0"),
+    ("orlicz:ulogu", "full-tree"): (
+        "0:0", "0:0 1:0 1:1 2:0 2:1", "0:0 1:0 1:1 2:0 2:1 2:2 2:3 3:0"),
+    ("orlicz:ulogu", "level-optimized"): (
+        "1:0", "60:0 60:1 60:2 60:3 60:4", "60:0 60:1 60:2 60:3 60:4 60:5 60:6 60:7"),
+    ("hyp:4,2", "same-size-disjoint"): (
+        "1:0|0:0", "3:0|0:0 3:1|0:0 3:2|0:0 3:3|0:0 3:4|0:0",
+        "3:0|0:0 3:1|0:0 3:2|0:0 3:3|0:0 3:4|0:0 3:5|0:0 3:6|0:0 3:7|0:0"),
+    ("hyp:4,2", "different-sizes"): (
+        "1:1|0:0", "1:1|0:0 2:1|0:0 3:1|0:0 4:1|0:0 5:1|0:0",
+        "1:1|0:0 2:1|0:0 3:1|0:0 4:1|0:0 5:1|0:0 6:1|0:0 7:1|0:0 8:1|0:0"),
+    ("hyp:4,2", "fixed-size-rects"): (
+        "0:0|0:0", "0:0|2:0 0:0|2:1 0:0|2:2 0:0|2:3 1:0|1:0",
+        "0:0|2:0 0:0|2:1 0:0|2:2 0:0|2:3 1:0|1:0 1:0|1:1 1:1|1:0 1:1|1:1"),
+    ("bmo:2", "same-size-disjoint"): (
+        "1:0", "3:0 3:1 3:2 3:3 3:4", "3:0 3:1 3:2 3:3 3:4 3:5 3:6 3:7"),
+    ("bmo:2", "different-sizes"): (
+        "1:1", "1:1 2:1 3:1 4:1 5:1", "1:1 2:1 3:1 4:1 5:1 6:1 7:1 8:1"),
+    ("bmo:2", "nested-tower"): (
+        "0:0", "0:0 1:0 2:0 3:0 4:0", "0:0 1:0 2:0 3:0 4:0 5:0 6:0 7:0"),
+    ("bmo:2", "full-tree"): (
+        "0:0", "0:0 1:0 1:1 2:0 2:1", "0:0 1:0 1:1 2:0 2:1 2:2 2:3 3:0"),
+}
+
+
+def test_family_lists_are_pinned_in_order():
+    for label in {label for label, _ in FAMILY_LISTS}:
+        spec = parse_space(label)
+        pinned = [fam for lab, fam in FAMILY_LISTS if lab == label]
+        assert family_catalog(spec) == pinned, label
+        for family in pinned:
+            got = tuple(" ".join(format_index(i) for i in structured_family(spec, N, family))
+                        for N in (1, 5, 8))
+            assert got == FAMILY_LISTS[label, family], (label, family)
+
+
+@pytest.mark.parametrize("label, size, label_text, last", [
+    ("lp:2", 64, "integers 1..64", "64"),
+    ("lplq:1,2", 64, "pair streams 1..32", "b:32"),
+    ("lpq:2,4", 4095, "cubes to level 11 in [0,1)^1", "11:2047"),
+    ("fpr:0,2,2,2", 1365, "cubes to level 5 in [0,1)^2", "5:31,31"),
+    ("fpr:0,2,2,3", 585, "cubes to level 3 in [0,1)^3", "3:7,7,7"),
+    ("hyp:4,2", 20481, "rectangles with level sum <= 10", "10:1023|0:0"),
+    ("bmo:2", 8191, "intervals to depth 12", "12:4095"),
+])
+def test_default_universe_sizes_and_labels(label, size, label_text, last):
+    uni = default_universe(parse_space(label))
+    assert (len(uni), uni.label, format_index(uni.indices[-1])) == (size, label_text, last)
+    assert len(set(uni.indices)) == size
+
+
+def test_default_universes_run_in_level_order():
+    # each universe is a prefix of its level order: the catalog's full-tree
+    # (cubes, intervals) and fixed-size-rects slices read it off
+    for label in ("lpq:2,4", "fpr:0,2,2,2", "bmo:2"):
+        spec = parse_space(label)
+        uni = default_universe(spec)
+        assert uni.indices == structured_family(spec, len(uni), "full-tree"), label
+    hyp = parse_space("hyp:4,2")
+    uni = default_universe(hyp, 4)
+    assert uni.indices[-(5 * 2**4):] == structured_family(hyp, 5 * 2**4, "fixed-size-rects")
+
+
+@pytest.mark.parametrize("label, wrong", [
+    ("lp:2", "stream-a"),
+    ("lplq:1,2", "same-size-disjoint"),
+    ("fpr:0,2,2,2", "level-optimized"),
+    ("lpq:2,4", "fixed-size-rects"),
+    ("hyp:4,2", "full-tree"),
+    ("hyp:4,3", "nested-tower"),
+    ("bmo:2", "balanced"),
+])
+def test_unknown_family_names_are_parse_errors(label, wrong):
+    spec = parse_space(label)
+    for family in (wrong, "bogus"):
+        with pytest.raises(ParseError, match=rf"{family}.*{label}"):
+            structured_family(spec, 4, family)
+
+
+def test_property_h_lplq_runs_on_stream_a():
+    spec = parse_space("lplq:1,2")
+    assert default_stable_family(spec, 3) == structured_family(spec, 8, "stream-a")
+    res = property_h_check(spec, 3)
+    assert res["tested"] == 70 and res["values"] == [4.0] * 70
+    assert (res["spread"], res["h_r_reference"], res["passed"]) == (1.0, 4.0, True)
 
 
 def test_structured_families_feasibility():

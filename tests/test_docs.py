@@ -1,7 +1,9 @@
-"""The README's space catalog and CLI examples stay in step with the parser."""
+"""The README's space and family catalogs and CLI examples stay in step with
+the code."""
 import re
 from pathlib import Path
 
+from nterm.democracy import FAMILY_CATALOG, family_catalog
 from nterm.spaces import SPACE_TAGS, parse_space
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -17,6 +19,14 @@ def test_space_catalog_lists_every_tag_with_its_parameters():
     for tag, params in rows:
         if tag != "orlicz":  # orlicz takes one family string
             assert tuple(params.split(",")) == SPACE_TAGS[tag][1], tag
+
+
+def test_family_catalog_lists_every_universe_with_its_families():
+    section = _section("Structured families")
+    rows = re.findall(r"^\| `([a-z]+)` +\| (.+?) +\|$", section, re.M)
+    assert {kind: re.findall(r"`([a-z-]+)`", fams) for kind, fams in rows} == FAMILY_CATALOG
+    for name in set(family_catalog(parse_space("orlicz:ulogu"))) - set(FAMILY_CATALOG["cube"]):
+        assert f"`orlicz` spaces add `{name}`" in section
 
 
 def test_cli_space_strings_parse_and_round_trip():

@@ -27,10 +27,10 @@ def test_examples():
 
 
 def test_q_validation():
-    with pytest.raises(ValueError):
-        lorentz_norm(indicator([1]), LIN, 0.0)
-    with pytest.raises(ValueError):
-        lorentz_norm(indicator([1]), LIN, -1.0)
+    for norm in (lorentz_norm, lorentz_norm_dyadic):
+        for q in (0.0, -1.0, math.nan):  # nan passes a "q <= 0" guard
+            with pytest.raises(ValueError, match="positive"):
+                norm(indicator([1, 2]), LIN, q)
 
 
 def test_dyadic_examples():
