@@ -46,7 +46,10 @@ def default_universe(spec: SpaceSpec, size=None):
     Cached per (universe kind, dimension, size); treat the returned index
     list as read-only.
     """
-    return _default_universe_cached(spec.universe, spec.d, size)
+    uni = _default_universe_cached(spec.universe, spec.d, size)
+    if not uni.indices:
+        raise FeasibilityError(f"size {size} leaves the {spec.universe} universe empty")
+    return uni
 
 
 def _cubes_at(d, level, count=None):
@@ -69,18 +72,18 @@ def _rects_at(total):
 @lru_cache(maxsize=64)
 def _default_universe_cached(kind, d, size):
     if kind == "integer":
-        n = size or 64
+        n = 64 if size is None else size
         return Universe(kind, list(range(1, n + 1)), f"integers 1..{n}")
     if kind == "pair":
-        n = size or 32
+        n = 32 if size is None else size
         idx = [Pair(0, k) for k in range(1, n + 1)] + [Pair(1, k) for k in range(1, n + 1)]
         return Universe(kind, idx, f"pair streams 1..{n}")
     if kind == "interval":
-        depth = size or 12
+        depth = 12 if size is None else size
         idx = [c for j in range(depth + 1) for c in _cubes_at(1, j)]
         return Universe(kind, idx, f"intervals to depth {depth}")
     if kind == "cube":
-        cap = size or 4096
+        cap = 4096 if size is None else size
         idx, j = [], 0
         while len(idx) + 2 ** (j * d) <= cap:
             idx += _cubes_at(d, j)
@@ -89,7 +92,7 @@ def _default_universe_cached(kind, d, size):
     if kind == "rect":
         if d != 2:
             raise FeasibilityError("default rectangle universe is two-dimensional")
-        cap = size or 10
+        cap = 10 if size is None else size
         idx = [r for total in range(cap + 1) for r in _rects_at(total)]
         return Universe(kind, idx, f"rectangles with level sum <= {cap}")
     raise AssertionError(kind)

@@ -15,7 +15,7 @@ from .democracy import default_universe, structured_family, structured_values
 from .errors import FeasibilityError, ParseError, finite
 from .greedy import aspace_norm, gamma_profile, sigma_profile
 from .indices import Cube, Pair, Rect, interval
-from .lorentz import lorentz_norm
+from .lorentz import lorentz_norm, weighted_lq
 from .sequences import Sequence
 from .spaces import SpaceSpec, ambient_norm, parse_space
 from .weights import Weight, classify
@@ -125,9 +125,8 @@ def jackson_verifier(spec, w: Weight, alpha, q, seqs, error_kind="gamma"):
         if denom == 0:
             continue
         prof = gamma_profile(x, spec) if error_kind == "gamma" else sigma_profile(x, spec)
-        n = len(prof.values) - 1
-        ratios = [(N + 1) ** alpha * prof.value(N) / denom for N in range(n + 1)]
-        rows.append({"support": n, "constant": max(ratios), "norm": denom})
+        top = weighted_lq(prof.values, Weight.power_log(alpha), math.inf)  # max (N+1)^a e_N
+        rows.append({"support": len(prof.values) - 1, "constant": top / denom, "norm": denom})
     constant = max(r["constant"] for r in rows)
     return {"constant": constant, "rows": rows, "weight": omega.label(), "alpha": alpha, "q": q}
 
@@ -166,18 +165,12 @@ def embedding_verifier(direction, spec, w: Weight, alpha, q, seqs):
     if direction not in ("lorentz-into-G", "lorentz-into-A", "A-into-lorentz"):
         raise ParseError(f"unknown embedding direction {direction!r}")
     omega = w.scaled(alpha)
+    kind = "gamma" if direction == "lorentz-into-G" else "sigma"
     rows = []
     for x in seqs:
         ln = lorentz_norm(x, omega, q)
-        if direction == "lorentz-into-G":
-            an = aspace_norm(x, alpha, q, spec, error_kind="gamma")
-            ratio = an / ln
-        elif direction == "lorentz-into-A":
-            an = aspace_norm(x, alpha, q, spec, error_kind="sigma")
-            ratio = an / ln
-        else:
-            an = aspace_norm(x, alpha, q, spec, error_kind="sigma")
-            ratio = ln / an
+        an = aspace_norm(x, alpha, q, spec, error_kind=kind)
+        ratio = ln / an if direction == "A-into-lorentz" else an / ln
         rows.append({"support": len(x.support()), "ratio": ratio})
     return {
         "direction": direction,
@@ -486,16 +479,3 @@ def nonlinearity_demo(p, q, alpha, K):
         "points_x": list(zip(Ns.tolist(), gx.tolist())),
         "points_sum": list(zip(NJ.tolist(), gxy.tolist())),
     }
-
-
-def materialized_sum_sequence(p, q, alpha, K):
-    """The truncated x+y as an explicit paired-stream sequence (for
-    cross-checking the closed forms against the generic engine)."""
-    beta = alpha + 1.0 / p
-    gamma = alpha + 1.0 / q
-    entries = {}
-    for k in range(1, K + 1):
-        entries[Pair(0, k)] = k**-beta
-    for j in range(1, K + 1):
-        entries[Pair(1, j)] = j**-gamma
-    return Sequence(entries, "pair")

@@ -41,8 +41,10 @@ import numpy as np
 from . import _kernels
 from .batch import MASK_CHUNK, batch_evaluator
 from .errors import FeasibilityError, ParseError, finite
+from .lorentz import weighted_lq
 from .sequences import Sequence, rearrange
 from .spaces import SpaceSpec, ambient_norm, element_norm
+from .weights import Weight
 
 TIE_FAMILY_CAP = 10_000
 SUBSET_CAP = 2_000_000
@@ -331,8 +333,8 @@ def aspace_norm(
 
     full form:   ||x|| + [sum_{N>=1} (N^alpha e_N)^q / N]^(1/q)
     dyadic form: ||x|| + [sum_{k>=0} (2^{k alpha} e_{2^k})^q]^(1/q)
-    with sup in place of the sum when q = inf. Terms with N beyond the support
-    vanish since e_N = 0 there.
+    with sup in place of the sum when q = inf (lorentz.weighted_lq over e_1..e_n).
+    Terms with N beyond the support vanish since e_N = 0 there.
     """
     if finite(alpha, "alpha") <= 0:
         raise ParseError("alpha must be positive")
@@ -350,21 +352,5 @@ def aspace_norm(
         if error_kind == "sigma"
         else gamma_profile(seq, spec)
     )
-    n = len(profile.values) - 1
-    if n <= 0:
-        return base
-    if form == "full":
-        Ns = range(1, n + 1)
-        terms = [(N, profile.value(N)) for N in Ns]
-    else:
-        terms = []
-        k = 0
-        while 2**k <= n:
-            terms.append((2**k, profile.value(2**k)))
-            k += 1
-    if math.isinf(q):
-        tail = max((N**alpha * e for N, e in terms), default=0.0)
-    else:
-        weight = (lambda N: 1.0 / N) if form == "full" else (lambda N: 1.0)
-        tail = math.fsum((N**alpha * e) ** q * weight(N) for N, e in terms) ** (1.0 / q)
-    return base + tail
+    return base + weighted_lq(profile.values[1:], Weight.power_log(alpha), q,
+                              None if form == "full" else 2)

@@ -141,6 +141,17 @@ def test_default_universe_sizes_and_labels(label, size, label_text, last):
     assert len(set(uni.indices)) == size
 
 
+def test_default_universe_size_zero_is_the_smallest_universe():
+    # size 0 used to read as "no size" and return the default universe
+    uni = default_universe(BMO, 0)
+    assert [format_index(i) for i in uni.indices] == ["0:0"]
+    uni = default_universe(parse_space("hyp:4,2"), 0)
+    assert (len(uni), uni.label) == (1, "rectangles with level sum <= 0")
+    for label in ("lp:2", "lplq:1,2", "lpq:2,4"):
+        with pytest.raises(FeasibilityError, match="universe empty"):
+            default_universe(parse_space(label), 0)
+
+
 def test_default_universes_run_in_level_order():
     # each universe is a prefix of its level order: the catalog's full-tree
     # (cubes, intervals) and fixed-size-rects slices read it off

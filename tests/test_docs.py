@@ -1,8 +1,10 @@
 """The README's space and family catalogs and CLI examples stay in step with
 the code."""
 import re
+import shlex
 from pathlib import Path
 
+from nterm.cli import EXPERIMENTS, build_parser
 from nterm.democracy import FAMILY_CATALOG, family_catalog
 from nterm.spaces import SPACE_TAGS, parse_space
 
@@ -36,3 +38,14 @@ def test_cli_space_strings_parse_and_round_trip():
     assert found
     for text in found:
         assert parse_space(text).label() == text
+
+
+def test_cli_commands_parse():
+    # argv only: each README command must parse, and name a known experiment
+    commands = [line.split("#", 1)[0] for line in _section("CLI").split("```")[1].splitlines()
+                if line.startswith("nterm ")]
+    assert len(commands) >= 8
+    for command in commands:
+        args = build_parser().parse_args(shlex.split(command)[1:])
+        if args.cmd == "experiment":
+            assert args.name in EXPERIMENTS, command

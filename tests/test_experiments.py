@@ -12,13 +12,14 @@ from nterm.experiments import (
     cor73_schedule,
     embedding_verifier,
     jackson_verifier,
-    materialized_sum_sequence,
     nonlinearity_demo,
     prop71_witness,
     rate_fit,
     standard_test_set,
     stechkin_check,
 )
+from nterm.indices import Pair
+from nterm.sequences import Sequence
 from nterm.spaces import parse_space
 from nterm.weights import Weight
 
@@ -171,6 +172,19 @@ def test_nonlinearity_tail_correction_stability():
     b = nonlinearity_demo(2.0, 1.0, 1.0, 60_000)
     assert abs(a["fit_x"].slope - b["fit_x"].slope) < 0.02
     assert abs(a["fit_sum"].slope - b["fit_sum"].slope) < 0.05
+
+
+def materialized_sum_sequence(p, q, alpha, K):
+    """The truncated x+y as an explicit paired-stream sequence (for
+    cross-checking the closed forms against the generic engine)."""
+    beta = alpha + 1.0 / p
+    gamma = alpha + 1.0 / q
+    entries = {}
+    for k in range(1, K + 1):
+        entries[Pair(0, k)] = k**-beta
+    for j in range(1, K + 1):
+        entries[Pair(1, j)] = j**-gamma
+    return Sequence(entries, "pair")
 
 
 def test_nonlinearity_closed_form_matches_generic_engine():

@@ -525,6 +525,27 @@ def test_aspace_parameter_validation():
         assert aspace_norm(seq, 1.0, math.inf, L2, error_kind="gamma", form="dyadic") >= 0
 
 
+@pytest.mark.parametrize("label", ["lp:2", "lplq:1,2", "lpq:2,4", "bmo:2"])
+def test_aspace_norm_is_ambient_norm_plus_lorentz_norm_of_sigma(label, rng):
+    # ||x||_A = ||x|| + ||(sigma_k)_k||_{l^q(k^alpha)} straight from the
+    # definitions, bitwise; the dyadic form uses the dyadic Lorentz sum
+    from nterm.lorentz import lorentz_norm, lorentz_norm_dyadic
+    from nterm.weights import Weight
+
+    spec = parse_space(label)
+    for _ in range(10):
+        n = int(rng.integers(2, 11))
+        x = attach(spec, np.abs(rng.standard_normal(n)) * np.exp(rng.uniform(-3, 3, n)))
+        sigma = Sequence.from_values(sigma_profile(x, spec).values[1:])
+        base = ambient_norm(spec, x)
+        for alpha in (0.3, 1.0, 2.5):
+            w = Weight.power_log(alpha)
+            for q in (0.5, 1.0, 2.0, math.inf):
+                assert aspace_norm(x, alpha, q, spec) == base + lorentz_norm(sigma, w, q)
+                assert aspace_norm(x, alpha, q, spec, form="dyadic") == (
+                    base + lorentz_norm_dyadic(sigma, w, q, 2))
+
+
 def test_aspace_dyadic_full_band(rng):
     ratios = []
     for _ in range(30):

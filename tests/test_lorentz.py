@@ -1,11 +1,17 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nterm.lorentz import fundamental_function_check, lorentz_norm, lorentz_norm_dyadic
+from nterm.lorentz import (
+    fundamental_function_check,
+    lorentz_norm,
+    lorentz_norm_dyadic,
+    weighted_lq,
+)
 from nterm.sequences import Sequence, indicator
 from nterm.weights import Weight
 
@@ -31,6 +37,49 @@ def test_q_validation():
         for q in (0.0, -1.0, math.nan):  # nan passes a "q <= 0" guard
             with pytest.raises(ValueError, match="positive"):
                 norm(indicator([1, 2]), LIN, q)
+    # a non-integer kappa used to fail inside numpy's indexing
+    for kappa in (1, 2.5, 3.0):
+        with pytest.raises(ValueError, match="kappa must be an integer"):
+            lorentz_norm_dyadic(indicator([1, 2]), LIN, 1.0, kappa)
+
+
+def _weighted_lq_oracle(vals, w, q, kappa):
+    """The weighted l^q sum in 50-digit arithmetic (table weights read exactly)."""
+    n = len(vals)
+    if kappa is None:
+        ks, dens = range(1, n + 1), range(1, n + 1)
+    else:
+        ks = [kappa**j for j in range(n) if kappa**j <= n]
+        dens = [1] * len(ks)
+    with mpmath.workdps(50):
+        if w.kind == "table":
+            wk = [mpmath.mpf(float(w.table[k - 1])) for k in ks]
+        else:
+            wk = [mpmath.mpf(k) ** w.a * mpmath.log(k + 1) ** w.b for k in ks]
+        terms = [x * mpmath.mpf(float(vals[k - 1])) for x, k in zip(wk, ks)]
+        if math.isinf(q):
+            return float(max(terms))
+        return float(mpmath.fsum(t**q / d for t, d in zip(terms, dens)) ** (1 / mpmath.mpf(q)))
+
+
+def test_weighted_lq_matches_mpmath_oracle(rng):
+    n = 200
+    weights = (Weight.power_log(0.5), Weight.power_log(1.5, 2.0),
+               Weight.from_table(np.cumsum(rng.uniform(0.1, 5.0, n))))
+    for _ in range(4):
+        vals = 10.0 ** rng.uniform(-16, 16, n)  # terms over 32 decades
+        for w in weights:
+            for q in (0.5, 1.0, 2.0, 3.7, math.inf):
+                for kappa in (None, 2, 3):
+                    got = weighted_lq(vals, w, q, kappa)
+                    want = _weighted_lq_oracle(vals, w, q, kappa)
+                    assert got == pytest.approx(want, rel=1e-13), (w, q, kappa)
+
+
+def test_weighted_lq_of_no_terms_is_zero():
+    for q in (0.5, 1.0, math.inf):
+        for kappa in (None, 2, 3):
+            assert weighted_lq(np.zeros(0), SQRT, q, kappa) == 0.0
 
 
 def test_dyadic_examples():
