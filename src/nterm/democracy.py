@@ -135,7 +135,10 @@ def structured_family(spec: SpaceSpec, N, family):
 
 
 def _dyadic_family(spec, d, N, family):
-    """A cube family in [0,1)^d; rectangle families take its d = 1 form."""
+    """A cube family in [0,1)^d; rectangle families take its d = 1 form.
+    level-optimized takes the first of levels 0..ORLICZ_LEVEL_RANGE-1 maximizing
+    phi(N|Q|)/phi(|Q|), or the coarsest level holding N cubes if finer; log-type
+    families (ulogu, powlog with g > 0) still gain at the last level and sit there."""
     if family == "different-sizes":
         return [Cube(i, (1,) + (0,) * (d - 1)) for i in range(1, N + 1)]
     if family == "nested-tower":
@@ -195,18 +198,23 @@ def structured_values(spec, N):
     return vals
 
 
+def _check_subset_count(universe, N):
+    """FeasibilityError unless the universe holds N indices and at most
+    EXHAUSTIVE_CAP subsets of size N."""
+    if N > len(universe):
+        raise FeasibilityError(f"N = {N} exceeds the universe size |U| = {len(universe)}")
+    if (count := math.comb(len(universe), N)) > EXHAUSTIVE_CAP:
+        raise FeasibilityError(f"C({len(universe)},{N}) = {count} subsets exceeds the "
+                               "exhaustive cap; use structured families")
+
+
 def h_exhaustive(spec, universe: Universe, N):
     """Exact min/max of the normalized indicator norm over all size-N subsets.
 
     Returns (h_ell, h_r, argmin set, argmax set); the argument sets are the
     first extremizers in the universe's combination order.
     """
-    count = math.comb(len(universe), N)
-    if count > EXHAUSTIVE_CAP:
-        raise FeasibilityError(
-            f"C({len(universe)},{N}) = {count} subsets exceeds the exhaustive cap; "
-            "use structured families"
-        )
+    _check_subset_count(universe, N)
     idx = universe.indices
     vals = [1.0 / element_norm(spec, i) for i in idx]
     h_ell, h_r, arg_min, arg_max = batch_evaluator(spec, idx, vals).subset_extrema(N)
@@ -371,9 +379,7 @@ def induced_h(spec, alpha, q, mode, universe: Universe, N):
     mode "gclass")."""
     if mode not in ("aspace", "gclass"):
         raise ParseError("mode must be aspace or gclass")
-    count = math.comb(len(universe), N)
-    if count > EXHAUSTIVE_CAP:
-        raise FeasibilityError(f"C({len(universe)},{N}) exceeds the cap")
+    _check_subset_count(universe, N)
     kind = "sigma" if mode == "aspace" else "gamma"
     best_min, best_max = math.inf, -math.inf
     for kept in combinations(universe.indices, N):

@@ -112,6 +112,8 @@ def jackson_verifier(spec, w: Weight, alpha, q, seqs, error_kind="gamma"):
     """Empirical constant sup over x, N of (N+1)^alpha e_N(x) / ||x||_{l^q_omega}
     with omega(k) = k^alpha eta(k); requires a positive-dilation certificate
     for omega."""
+    if finite(alpha, "alpha") <= 0:
+        raise ParseError("alpha must be positive")
     omega = w.scaled(alpha)
     cls = classify(omega, K=10**5)
     if not cls.positive_dilation:
@@ -134,6 +136,8 @@ def jackson_verifier(spec, w: Weight, alpha, q, seqs, error_kind="gamma"):
 def bernstein_verifier(spec, w: Weight, alpha, q, N_list, seed=0, trials=20):
     """Empirical constant sup over x in Sigma_N of ||x||_{l^q_omega} /
     (N^alpha ||x||), plus the left-democracy surrogate min ||1_Gamma|| / eta(N)."""
+    if finite(alpha, "alpha") <= 0:
+        raise ParseError("alpha must be positive")
     rng = np.random.default_rng(seed)
     omega = w.scaled(alpha)
     rows = []
@@ -265,6 +269,8 @@ def prop71_witness(spec, alpha, tau, schedule, N_list, support_cap=100_000, seed
     over structured candidate kept-sets (an upper bound), so the reported
     ratio is a certified lower bound on the true one.
     """
+    if finite(alpha, "alpha") <= 0:
+        raise ParseError("alpha must be positive")
     if not math.isinf(tau):
         raise FeasibilityError("finite tau is not supported; use tau = inf")
     rng = np.random.default_rng(seed)
@@ -393,6 +399,8 @@ def nonlinearity_demo(p, q, alpha, K):
     dropping it would leave fewer than 4 points, so a small K yields fits over
     a short, pre-asymptotic range whose slopes are off the exact exponents.
     """
+    if finite(alpha, "alpha") <= 0:
+        raise ParseError("alpha must be positive")
     if not 0 < q < p < math.inf:
         raise ParseError("needs 0 < q < p < inf")
     # Fraction(0.1) would have denominator 2^55

@@ -165,15 +165,6 @@ def _floyd_picks(rng, t, m, rows):
     return np.nonzero(member)[1].reshape(rows, m)
 
 
-@dataclass
-class ErrorValue:
-    value: float
-    exact: bool = True
-
-    def __float__(self):
-        return self.value
-
-
 def _greedy_extrema(ctx, Ns):
     """Max and min residual norm over the greedy family of each step in Ns
     (greedy_representatives), with the families' exactness flags.
@@ -206,32 +197,18 @@ def _reduce_runs(ev, runs, hi, lo):
     np.minimum.reduceat(vals, starts, out=lo)
 
 
-def gamma_n(seq, N, spec, ctx=None):
-    """Greedy error at step N: max residual norm over admissible kept sets."""
-    hi, _, exact = _greedy_extrema(ctx or _Context(seq, spec), [N])
-    return ErrorValue(float(hi[0]), bool(exact[0]))
-
-
-def sigma_n_upper(seq, N, spec, ctx=None):
-    """Greedy upper bound on the optimal N-term error: min over admissible
-    kept sets of the residual norm."""
-    _, lo, exact = _greedy_extrema(ctx or _Context(seq, spec), [N])
-    return ErrorValue(float(lo[0]), bool(exact[0]))
-
-
 def sigma_n_exact(seq, N, spec, ctx=None):
     """Optimal N-term error by exhaustive search over all kept sets of size N."""
     ctx = ctx or _Context(seq, spec)
     if N >= ctx.n:
-        return ErrorValue(0.0)
+        return 0.0
     count = math.comb(ctx.n, N)
     if count > SUBSET_CAP:
         raise FeasibilityError(
             f"C({ctx.n},{N}) = {count} kept sets exceeds the exhaustive cap; "
-            "use sigma_n_upper"
+            'use sigma_profile(method="greedy")'
         )
-    ev = ctx.evaluator
-    return ErrorValue(ev.subset_extrema(N, complement=True)[0])
+    return ctx.evaluator.subset_extrema(N, complement=True)[0]
 
 
 @dataclass
@@ -242,9 +219,6 @@ class Profile:
     space: str
     values: np.ndarray  # index N = 0 .. n
     flags: list = field(default_factory=list)  # per-N: exact | greedy | sampled
-
-    def value(self, N):
-        return self.values[N] if N < len(self.values) else 0.0
 
     def rows(self):
         return [(N, self.values[N], self.flags[N]) for N in range(len(self.values))]

@@ -31,77 +31,55 @@ def strict_margin(m, K):
 
 
 class Weight:
-    """Evaluable weight sequence: power-log k^a log^b(k+1), table-backed, or product."""
+    """Evaluable weight sequence eta(k) = k^a log^b(k+1), times table[k-1] when
+    a table is given (table weights are defined for k up to its length)."""
 
-    def __init__(self, kind, a=0.0, b=0.0, table=None, factors=None):
-        self.kind = kind
-        self.a = a
-        self.b = b
+    def __init__(self, a=0.0, b=0.0, table=None):
+        self.a, self.b = a, b
         self.table = None if table is None else np.asarray(table, dtype=float)
-        self.factors = factors
-        if kind == "table":
-            if self.table is None or len(self.table) == 0:
+        if self.table is not None:
+            if len(self.table) == 0:
                 raise ParseError("table weight needs at least one value")
             if np.any(self.table <= 0):
                 raise ParseError("table weight values must be positive")
 
     @classmethod
     def power_log(cls, a, b=0.0):
-        return cls("pow", a=a, b=b)
+        return cls(a, b)
 
     @classmethod
     def from_table(cls, values):
-        return cls("table", table=values)
-
-    @classmethod
-    def product(cls, w1, w2):
-        return cls("product", factors=(w1, w2))
+        return cls(table=values)
 
     def scaled(self, alpha):
         """The weight k^alpha * eta(k)."""
-        if self.kind == "pow":
-            return Weight.power_log(self.a + alpha, self.b)
-        return Weight.product(Weight.power_log(alpha), self)
+        return Weight(self.a + alpha, self.b, self.table)
 
     @property
     def range_limit(self):
         """Largest k this weight can be evaluated at (None if unlimited)."""
-        if self.kind == "table":
-            return len(self.table)
-        if self.kind == "product":
-            lims = [w.range_limit for w in self.factors]
-            lims = [l for l in lims if l is not None]
-            return min(lims) if lims else None
-        return None
+        return None if self.table is None else len(self.table)
 
     def __call__(self, k):
         """Evaluate eta at integer k >= 1 (scalar or array)."""
         karr = np.asarray(k, dtype=float)
         if np.any(karr < 1):
             raise ValueError("weights are defined for k >= 1")
-        if self.kind == "pow":
-            out = karr**self.a * np.log(karr + 1.0) ** self.b
-        elif self.kind == "table":
+        out = karr**self.a * np.log(karr + 1.0) ** self.b
+        if self.table is not None:
             ki = np.asarray(k, dtype=np.int64)
             if np.any(ki > len(self.table)):
-                raise IndexError(
-                    f"table weight of length {len(self.table)} queried beyond range"
-                )
-            out = self.table[ki - 1]
-        elif self.kind == "product":
-            out = self.factors[0](k) * self.factors[1](k)
-        else:
-            raise ValueError(f"unknown weight kind {self.kind!r}")
-        if np.ndim(k) == 0:
-            return float(out)
-        return out
+                raise FeasibilityError(f"weight range too short: table weight of length "
+                                       f"{len(self.table)} queried at k = {int(np.max(ki))}")
+            out = out * self.table[ki - 1]
+        return float(out) if np.ndim(k) == 0 else out
 
     def label(self):
-        if self.kind == "pow":
-            return f"pow:{self.a:g},{self.b:g}"
-        if self.kind == "table":
-            return f"table[{len(self.table)}]"
-        return f"{self.factors[0].label()}*{self.factors[1].label()}"
+        power = f"pow:{self.a:g},{self.b:g}"
+        if self.table is None:
+            return power
+        table = f"table[{len(self.table)}]"
+        return table if self.a == self.b == 0 else f"{power}*{table}"
 
     def __repr__(self):
         return f"Weight({self.label()})"
@@ -171,7 +149,6 @@ class Classification:
     ratio_table: dict  # m -> max_k eta(k)/eta(mk)
     dilation_index: float
     kappa: int | None  # smallest integer > 1 with ratio_sup(kappa) < 1 - margin
-    monotone: bool
     range_cap: int
 
     @property
@@ -205,7 +182,6 @@ def classify(w, K=DEFAULT_RANGE_CAP):
         ratio_table={m: ratios[m] for m in (2, 3, 4, 8, 16) if m in ratios},
         dilation_index=_dilation_index(ratios),
         kappa=next((m for m, r in ratios.items() if r < 1.0 - strict_margin(m, Keff)), None),
-        monotone=True,
         range_cap=Keff,
     )
 

@@ -32,7 +32,7 @@ from nterm.experiments import (
     standard_test_set,
     stechkin_check,
 )
-from nterm.greedy import gamma_profile, sigma_n_exact, sigma_n_upper, sigma_profile, _Context
+from nterm.greedy import gamma_profile, sigma_n_exact, sigma_profile, _Context
 from nterm.sequences import Sequence
 from nterm.spaces import parse_space
 from nterm.weights import Weight, classify, geometric_sum_check
@@ -89,9 +89,10 @@ def test_criterion_02_greedy_optimality_oracle():
             for vals in vectors:
                 seq = Sequence(dict(zip(range(1, len(vals) + 1), vals)))
                 ctx = _Context(seq, spec)
+                bound = sigma_profile(seq, spec, method="greedy").values
                 for N in range(len(vals) + 1):
-                    a = sigma_n_exact(seq, N, spec, ctx=ctx).value
-                    b = sigma_n_upper(seq, N, spec, ctx=ctx).value
+                    a = sigma_n_exact(seq, N, spec, ctx=ctx)
+                    b = bound[N]
                     assert a == b, (p, N, a, b)
         # sigma <= gamma for every space tag on the same vectors
         for label in ("lp:1.5", "lplq:2,1", "fpr:0,2,2,1", "lpq:2,4",

@@ -123,7 +123,7 @@ def test_exhaustive_scan_matches_scalar_sigma(any_space, rng):
                         {i: v for i, v in seq.entries.items() if i not in kept},
                         spec.universe))
                     for kept in itertools.combinations(idx, N))
-        assert sigma_n_exact(seq, N, spec).value == pytest.approx(
+        assert sigma_n_exact(seq, N, spec) == pytest.approx(
             brute, rel=1e-12)
 
 

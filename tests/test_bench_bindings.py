@@ -1,0 +1,39 @@
+"""Every program name the benchmark binds resolves in src/, so a deletion that
+removes one fails here, not only in a traced benchmark pass."""
+import ast
+import importlib
+import importlib.util
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", PERFBENCH / "tracer.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_traced_spans_and_bindings_resolve():
+    tracer = _tracer()
+    names = [(mod, attr) for mod, attr, _ in tracer.SPANS] + list(tracer.REQUIRED_BINDINGS)
+    missing = [f"{mod}.{attr}" for mod, attr in names
+               if not hasattr(importlib.import_module(mod), attr)]
+    assert not missing
+
+
+def test_worker_module_attributes_resolve():
+    # attributes the worker reads off `from nterm import ...` modules, such as
+    # the kernel backend name it records
+    tree = ast.parse((PERFBENCH / "worker.py").read_text())
+    modules = {alias.asname or alias.name: f"nterm.{alias.name}"
+               for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+               and node.module == "nterm" for alias in node.names}
+    used = {(modules[node.value.id], node.attr) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in modules}
+    assert used
+    missing = [f"{mod}.{attr}" for mod, attr in sorted(used)
+               if not hasattr(importlib.import_module(mod), attr)]
+    assert not missing

@@ -112,6 +112,33 @@ def test_exit_codes(seqfile, tmp_path, capsys):
     assert main(["norm", "lp:2", str(bad)]) == 2
 
 
+def test_out_of_range_requests_exit_with_their_cause(seqfile, tmp_path, capsys):
+    # a 3-entry table weight read past its end, N beyond the 64-integer
+    # universe, and a nonpositive alpha: exit 3 (infeasible) or 2 (parse error)
+    w3 = tmp_path / "w3.txt"
+    w3.write_text("1.0\n2.0\n3.0\n")
+    table = f"table:{w3}"
+    s5 = seqfile("s5.csv", {k: 1.0 / k for k in range(1, 6)})
+    cases = [
+        (3, ["norm", "lorentz-seq", table, "1", s5]),
+        (3, ["experiment", "bernstein", "--space", "lp:2", "--weight", table, "--N", "1..8"]),
+        (3, ["experiment", "embedding", "--space", "lp:2", "--weight", table,
+             "--support", "8"]),
+        (3, ["democracy", "--space", "lp:2", "--N", "65", "--strategy", "exhaustive"]),
+        (2, ["experiment", "nonlinear", "--p", "2", "--q", "1", "--alpha", "0",
+             "--K", "1000"]),
+        (2, ["experiment", "nonlinear", "--p", "2", "--q", "1", "--alpha", "-0.5",
+             "--K", "1000"]),
+        (2, ["experiment", "prop71", "--space", "lp:2", "--alpha", "-1"]),
+        (2, ["experiment", "bernstein", "--space", "lp:2", "--alpha", "-0.5"]),
+        (2, ["experiment", "jackson", "--space", "lp:2", "--alpha", "-0.5"]),
+    ]
+    for code, argv in cases:
+        assert main(argv) == code, argv
+    err = capsys.readouterr().err
+    assert err.count("infeasible:") == 4 and err.count("alpha must be positive") == 5
+
+
 def test_aspace_command(seqfile, capsys):
     path = seqfile("s.csv", {1: 1.0, 2: 1.0})
     assert main(["aspace", "lp:1", path, "--alpha", "1", "--q", "inf"]) == 0

@@ -50,6 +50,15 @@ def test_h_exhaustive_bmo_pairs():
     assert arg_max[0].contains(arg_max[1]) or arg_max[1].contains(arg_max[0])
 
 
+def test_subset_engines_refuse_n_beyond_the_universe():
+    uni = default_universe(L2, 3)
+    with pytest.raises(FeasibilityError, match=r"N = 4 exceeds the universe size \|U\| = 3"):
+        h_exhaustive(L2, uni, 4)
+    for mode in ("aspace", "gclass"):
+        with pytest.raises(FeasibilityError, match=r"N = 4 exceeds .* = 3"):
+            induced_h(L2, 0.5, 1.0, mode, uni, 4)
+
+
 def test_h_exhaustive_cap():
     uni = default_universe(L2, 64)
     with pytest.raises(FeasibilityError, match="structured"):

@@ -79,8 +79,8 @@ def test_jackson_sigma_kind():
 def test_jackson_refuses_uncertified_weight():
     seqs = standard_test_set(L2, 16, seed=1, critical=1.0)
     with pytest.raises(FeasibilityError, match="certificate"):
-        # alpha = 0 keeps the slowly varying weight uncertified
-        jackson_verifier(L2, Weight.power_log(0, 1), 0.0, math.inf, seqs)
+        # a small alpha keeps the slowly varying weight uncertified
+        jackson_verifier(L2, Weight.power_log(0, 1), 0.01, math.inf, seqs)
 
 
 def test_jackson_single_element():
@@ -189,17 +189,18 @@ def materialized_sum_sequence(p, q, alpha, K):
 
 def test_nonlinearity_closed_form_matches_generic_engine():
     # small truncation: gamma_N from the generic engine equals the closed form
-    from nterm.greedy import gamma_n
+    from nterm.greedy import gamma_profile
 
     p, q, alpha, K = 2.0, 1.0, 1.0, 60
     spec = parse_space(f"lplq:{p:g},{q:g}")
     seq = materialized_sum_sequence(p, q, alpha, K)
     res = nonlinearity_demo(p, q, alpha, 10_000)
     beta, gamma = res["beta"], res["gamma"]
+    gammas = gamma_profile(seq, spec).values
     for J in (2, 3, 4):
         cut = max(k for k in range(1, K) if k**beta <= J**gamma)
         NJ = cut + J
-        got = gamma_n(seq, NJ, spec).value
+        got = gammas[NJ]
         want = (sum(k ** (-beta * p) for k in range(cut + 1, K + 1))) ** (1 / p) + (
             sum(j ** (-gamma * q) for j in range(J + 1, K + 1))
         ) ** (1 / q)

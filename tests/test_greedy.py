@@ -13,10 +13,8 @@ from nterm.experiments import attach, canonical_indices
 from nterm.greedy import (
     _Context,
     aspace_norm,
-    gamma_n,
     gamma_profile,
     sigma_n_exact,
-    sigma_n_upper,
     sigma_profile,
 )
 from nterm.indices import Cube
@@ -280,12 +278,6 @@ def test_greedy_profiles_match_oracle(label, sizes):
     else:
         np.testing.assert_allclose(gp.values, hi, rtol=1e-15, atol=0)
         np.testing.assert_allclose(sp.values, lo, rtol=1e-15, atol=0)
-    # single-step calls on one context per kind draw the same picks in step order
-    ctx_hi, ctx_lo = _Context(seq, spec), _Context(seq, spec)
-    for N in range(len(want)):
-        assert gamma_n(seq, N, spec, ctx=ctx_hi).value == pytest.approx(hi[N], rel=1e-15, abs=0)
-        assert sigma_n_upper(seq, N, spec, ctx=ctx_lo).value == pytest.approx(
-            lo[N], rel=1e-15, abs=0)
 
 
 def test_profile_memory_is_bounded_by_the_mask_block():
@@ -317,9 +309,9 @@ def test_profile_memory_is_bounded_by_the_mask_block():
 
 
 def test_gamma_examples():
-    assert gamma_n(Sequence({1: 1.0}), 1, L2).value == 0.0
+    assert gamma_profile(Sequence({1: 1.0}), L2).values[1] == 0.0
     s = Sequence({1: 3.0, 2: 2.0, 3: 1.0})
-    assert gamma_n(s, 1, L2).value == pytest.approx(math.sqrt(5))
+    assert gamma_profile(s, L2).values[1] == pytest.approx(math.sqrt(5))
 
 
 def test_gamma_two_block_witness(any_space):
@@ -337,23 +329,23 @@ def test_gamma_two_block_witness(any_space):
     from nterm.spaces import ambient_norm
 
     want = ambient_norm(spec, Sequence({i: 1.0 for i in ones}, spec.universe))
-    assert gamma_n(x, N, spec).value == pytest.approx(want, rel=1e-10)
+    assert gamma_profile(x, spec).values[N] == pytest.approx(want, rel=1e-10)
 
 
 def test_sigma_examples():
     e1 = Sequence({1: 1.0})
-    assert sigma_n_exact(e1, 0, L2).value == 1.0  # sigma_0 = ||x||
+    assert sigma_n_exact(e1, 0, L2) == 1.0  # sigma_0 = ||x||
     s = Sequence({1: 3.0, 2: 2.0, 3: 1.0})
-    assert sigma_n_exact(s, 1, L2).value == pytest.approx(math.sqrt(5))
-    assert sigma_n_exact(Sequence({1: 1.0, 2: 1.0}), 1, L1).value == 1.0
-    assert sigma_n_upper(e1, 1, L2).value == 0.0
+    assert sigma_n_exact(s, 1, L2) == pytest.approx(math.sqrt(5))
+    assert sigma_n_exact(Sequence({1: 1.0, 2: 1.0}), 1, L1) == 1.0
+    assert sigma_profile(e1, L2, method="greedy").values[1] == 0.0
     s = Sequence({1: 3.0, 2: 2.0, 3: 2.0, 4: 1.0})
-    assert sigma_n_upper(s, 2, L1).value == 3.0
+    assert sigma_profile(s, L1, method="greedy").values[2] == 3.0
 
 
 def test_sigma_cap_error():
     s = Sequence({k: float(k) for k in range(1, 40)})
-    with pytest.raises(FeasibilityError, match="sigma_n_upper"):
+    with pytest.raises(FeasibilityError, match=r'sigma_profile\(method="greedy"\)'):
         sigma_n_exact(s, 19, L2)
 
 
@@ -363,8 +355,9 @@ def test_greedy_optimality_in_lp(rng):
         seq = Sequence(dict(zip(range(1, n + 1), rng.standard_normal(n) * 3)))
         for p in (1.0, 1.5, 2.0):
             spec = parse_space(f"lp:{p}")
+            bound = sigma_profile(seq, spec, method="greedy").values
             for N in range(n + 1):
-                assert sigma_n_exact(seq, N, spec).value == sigma_n_upper(seq, N, spec).value
+                assert sigma_n_exact(seq, N, spec) == bound[N]
 
 
 def test_sigma_le_gamma_all_spaces(any_space, rng):
@@ -406,7 +399,7 @@ def test_kernel_profile_matches_enumeration(rng):
         for n in range(1, 12):
             seq = _spread_sequence(spec, n, rng)
             prof = sigma_profile(seq, spec, method="exact")
-            want = [sigma_n_exact(seq, N, spec).value for N in range(n)] + [0.0]
+            want = [sigma_n_exact(seq, N, spec) for N in range(n)] + [0.0]
             if spec.tag == "lp":
                 assert prof.values == pytest.approx(want, rel=1e-12)
             else:
@@ -423,7 +416,7 @@ def test_sweep_matches_scan_across_mask_blocks():
         spec = parse_space(label)
         seq = _spread_sequence(spec, 19, np.random.default_rng(seed))
         prof = sigma_profile(seq, spec, method="exact")
-        want = [sigma_n_exact(seq, N, spec).value for N in range(19)] + [0.0]
+        want = [sigma_n_exact(seq, N, spec) for N in range(19)] + [0.0]
         assert prof.values.tolist() == want, label
 
 
@@ -434,7 +427,7 @@ def test_sweep_bit_order_matches_scan(label, n):
     spec = parse_space(label)
     seq = attach(spec, np.random.default_rng(n).permutation(np.exp(np.linspace(-2, 2, n))))
     prof = sigma_profile(seq, spec, method="exact")
-    assert prof.values.tolist() == [sigma_n_exact(seq, N, spec).value for N in range(n)] + [0.0]
+    assert prof.values.tolist() == [sigma_n_exact(seq, N, spec) for N in range(n)] + [0.0]
 
 
 @pytest.mark.parametrize("label", ["lp:2", "lplq:2,1"])

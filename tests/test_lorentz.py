@@ -44,7 +44,8 @@ def test_q_validation():
 
 
 def _weighted_lq_oracle(vals, w, q, kappa):
-    """The weighted l^q sum in 50-digit arithmetic (table weights read exactly)."""
+    """The weighted l^q sum in 50-digit arithmetic, with eta(k) = k^a log^b(k+1)
+    table[k-1] (table entries read exactly)."""
     n = len(vals)
     if kappa is None:
         ks, dens = range(1, n + 1), range(1, n + 1)
@@ -52,10 +53,8 @@ def _weighted_lq_oracle(vals, w, q, kappa):
         ks = [kappa**j for j in range(n) if kappa**j <= n]
         dens = [1] * len(ks)
     with mpmath.workdps(50):
-        if w.kind == "table":
-            wk = [mpmath.mpf(float(w.table[k - 1])) for k in ks]
-        else:
-            wk = [mpmath.mpf(k) ** w.a * mpmath.log(k + 1) ** w.b for k in ks]
+        wk = [mpmath.mpf(k) ** w.a * mpmath.log(k + 1) ** w.b
+              * (1 if w.table is None else mpmath.mpf(float(w.table[k - 1]))) for k in ks]
         terms = [x * mpmath.mpf(float(vals[k - 1])) for x, k in zip(wk, ks)]
         if math.isinf(q):
             return float(max(terms))
@@ -64,8 +63,8 @@ def _weighted_lq_oracle(vals, w, q, kappa):
 
 def test_weighted_lq_matches_mpmath_oracle(rng):
     n = 200
-    weights = (Weight.power_log(0.5), Weight.power_log(1.5, 2.0),
-               Weight.from_table(np.cumsum(rng.uniform(0.1, 5.0, n))))
+    table = Weight.from_table(np.cumsum(rng.uniform(0.1, 5.0, n)))
+    weights = (Weight.power_log(0.5), Weight.power_log(1.5, 2.0), table, table.scaled(0.75))
     for _ in range(4):
         vals = 10.0 ** rng.uniform(-16, 16, n)  # terms over 32 decades
         for w in weights:

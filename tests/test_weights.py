@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nterm.errors import NumericError, ParseError
+from nterm.errors import FeasibilityError, NumericError, ParseError
 from nterm.weights import (
     Weight,
     classify,
@@ -23,7 +23,7 @@ def test_eval_examples():
 def test_table_weight_range_error(tmp_path):
     w = Weight.from_table([1.0, 2.0, 3.0])
     assert w(3) == 3.0
-    with pytest.raises(IndexError):
+    with pytest.raises(FeasibilityError, match="weight range too short"):
         w(4)
     path = tmp_path / "w.txt"
     path.write_text("1.0\n2.0\n3.0\n")
