@@ -26,8 +26,22 @@ sums do. fpr and hyp keep their linear outer sums.
 BatchNorm.norms casts and evaluates its mask matrix KERNEL_ROWS rows at a time,
 so the float temporaries of every space (the mask slice, the inner sums and
 their outer transform) are bounded by KERNEL_ROWS x (support + atoms) floats
-however many rows are asked for. MASK_CHUNK only fixes the blocks of an
-exhaustive scan: one boolean mask matrix of that many combinations at a time.
+however many rows are asked for. The callers that need complements, the greedy
+residuals, sigma_n_exact and greedy._sigma_all, go through these dense masks,
+so their floats do not depend on the kept-index path below.
+
+BatchNorm.subset_norms of subsets themselves (complement=False), and so
+subset_extrema and democracy.h_exhaustive, take kept-index rows instead: each
+row's inner sums are its N gathered rows of the (support x atoms) column
+weights, added in column order, then passed through the same outer transform.
+No mask is built, and the work is rows x N x atoms rather than rows x support
+x atoms. The slices are sized by floats, KEPT_FLOATS // atoms rows, so each
+(rows x atoms) temporary holds about KEPT_FLOATS floats: the gathers are
+memory-bound, and a slice of KERNEL_ROWS rows over hundreds of atoms would
+leave the cache. A kept row can differ from the dense row of the same subset
+by an ulp, since the two sum in different orders. MASK_CHUNK only fixes the
+blocks of an exhaustive scan: one index block of that many combinations at a
+time, and for complements their boolean mask matrix.
 """
 from __future__ import annotations
 
@@ -39,22 +53,30 @@ import numpy as np
 from .errors import FeasibilityError, NumericError
 from .indices import canonical_key
 from .sequences import Sequence
-from .spaces import SpaceSpec, bmo_weights, lorentz_rows, luxemburg_rows, square_function
+from .spaces import (SpaceSpec, bmo_weights, check_rect_axes, lorentz_rows, luxemburg_rows,
+                     square_function)
 
-# subset rows per block of an exhaustive scan, held as one boolean mask matrix
+# subset rows per block of an exhaustive scan or a stacked greedy profile
 MASK_CHUNK = 1 << 16
 # rows per evaluation slice in BatchNorm.norms: it bounds the memory of every
 # evaluation and keeps the log-scale kernels' temporaries in cache; the slice
 # shape fixes the matmul batch shapes, so changing it can move results by an ulp
 KERNEL_ROWS = 1 << 12
+# floats per (rows x atoms) temporary of a kept-index slice in subset_norms
+KEPT_FLOATS = 1 << 16
 
 
 class BatchNorm:
-    """Callable mapping subset-selection rows (column i: the i-th index) to norms."""
+    """Callable mapping subset-selection rows (column i: the i-th index) to norms.
 
-    def __init__(self, n, fn):
-        self.n = n
-        self._fn = fn
+    cols (n x atoms) holds each column's contribution to the inner sums. A
+    float mask slice goes through `inner`, which sums it against cols; a slice
+    of kept-index rows sums its gathered rows of cols. Both then go through
+    the same `outer` transform."""
+
+    def __init__(self, cols, inner, outer):
+        self.n = len(cols)
+        self._cols, self._inner, self._outer = cols, inner, outer
 
     def norms(self, masks):
         masks = np.asarray(masks)
@@ -62,7 +84,8 @@ class BatchNorm:
             raise ValueError("mask matrix shape mismatch")
         out = np.empty(len(masks))
         for i in range(0, len(masks), KERNEL_ROWS):
-            out[i : i + KERNEL_ROWS] = self._fn(masks[i : i + KERNEL_ROWS].astype(float))
+            out[i : i + KERNEL_ROWS] = self._outer(
+                self._inner(masks[i : i + KERNEL_ROWS].astype(float)))
         _check_finite(out)
         return out
 
@@ -75,8 +98,26 @@ class BatchNorm:
         return masks
 
     def subset_norms(self, kept, complement=False):
-        """Norms of the subset_masks rows."""
-        return self.norms(self.subset_masks(kept, complement))
+        """Norms of the subset_masks rows. Complements go through norms; the
+        subsets themselves sum their N gathered rows of cols, in column
+        order, KEPT_FLOATS // atoms rows at a time, and build no mask."""
+        if complement:
+            return self.norms(self.subset_masks(kept, complement))
+        kept = np.asarray(kept, dtype=np.intp)
+        out = np.empty(len(kept))
+        atoms = self._cols.shape[1]
+        step = max(1, KEPT_FLOATS // max(1, atoms))
+        for i in range(0, len(kept), step):
+            block = kept[i : i + step]
+            if block.shape[1]:
+                inner = self._cols[block[:, 0]]
+            else:
+                inner = np.zeros((len(block), atoms))
+            for col in block.T[1:]:
+                inner += self._cols[col]
+            out[i : i + step] = self._outer(inner)
+        _check_finite(out)
+        return out
 
     def subset_extrema(self, N, complement=False):
         """Exhaustive min and max of subset_norms over every N-subset of the
@@ -136,6 +177,7 @@ def batch_evaluator(spec: SpaceSpec, indices, values) -> BatchNorm:
     values = np.asarray([abs(v) for v in values], dtype=float)
     if np.any(values == 0.0):
         raise ValueError("batch evaluator needs nonzero coefficients")
+    check_rect_axes(spec, indices)
 
     # the additive paths reduce with (masks * w).sum(axis=1) rather than a BLAS
     # matmul: pairwise reduction over a fixed axis length is independent of the
@@ -143,55 +185,51 @@ def batch_evaluator(spec: SpaceSpec, indices, values) -> BatchNorm:
     if spec.tag == "lp":
         pw = values**spec.p
         _check_finite(pw)
+        return BatchNorm(pw[:, None], lambda masks: (masks * pw).sum(axis=1, keepdims=True),
+                         lambda inner: inner[:, 0] ** (1.0 / spec.p))
 
-        def fn(masks):
-            return (masks * pw).sum(axis=1) ** (1.0 / spec.p)
-
-    elif spec.tag == "lplq":
+    if spec.tag == "lplq":
         comp = np.array([idx.component for idx in indices])
         pwa = np.where(comp == 0, values**spec.p, 0.0)
         pwb = np.where(comp == 1, values**spec.q, 0.0)
         _check_finite(pwa, pwb)
 
-        def fn(masks):
-            return (masks * pwa).sum(axis=1) ** (1.0 / spec.p) + (
-                masks * pwb
-            ).sum(axis=1) ** (1.0 / spec.q)
+        def inner(masks):
+            return np.column_stack(((masks * pwa).sum(axis=1), (masks * pwb).sum(axis=1)))
 
-    elif spec.tag == "bmo":
+        return BatchNorm(np.column_stack((pwa, pwb)), inner,
+                         lambda s: s[:, 0] ** (1.0 / spec.p) + s[:, 1] ** (1.0 / spec.q))
+
+    if spec.tag == "bmo":
         cmat = np.column_stack(list(bmo_weights(indices, [v**spec.r for v in values])))
         _check_finite(cmat)
+        return BatchNorm(cmat.T, lambda masks: masks @ cmat.T,
+                         lambda s: np.max(s, axis=1) ** (1.0 / spec.r))
 
-        def fn(masks):
-            return np.max(masks @ cmat.T, axis=1) ** (1.0 / spec.r)
+    r, scale_exp = spec.square_exponents
+    f = square_function(Sequence(dict(zip(indices, values)), spec.universe), r, scale_exp)
+    # the cover's indices are in canonical order; its columns go back to the given order
+    order = sorted(range(len(indices)), key=lambda i: canonical_key(indices[i]))
+    ln_meas, im = f.ln_measures, _incidence(f, len(indices))[:, np.argsort(order)]
+    if spec.tag in ("fpr", "hyp"):
+        meas, pr = np.exp(ln_meas), spec.p / r
+
+        def outer(s):
+            s **= pr
+            return (s @ meas) ** (1.0 / spec.p)
 
     else:
-        r, scale_exp = spec.square_exponents
-        f = square_function(Sequence(dict(zip(indices, values)), spec.universe), r, scale_exp)
-        # the cover's indices are in canonical order; its columns go back to the given order
-        order = sorted(range(len(indices)), key=lambda i: canonical_key(indices[i]))
-        ln_meas, im = f.ln_measures, _incidence(f, len(indices))[:, np.argsort(order)]
-        if spec.tag in ("fpr", "hyp"):
-            meas, pr = np.exp(ln_meas), spec.p / r
+        def kernel(ln_v):
+            if spec.tag == "lpq":
+                return lorentz_rows(ln_meas, ln_v, spec.p, spec.q)
+            return luxemburg_rows(ln_meas, ln_v, spec.orlicz)[0]
 
-            def fn(masks):
-                inner = masks @ im.T
-                inner **= pr
-                return (inner @ meas) ** (1.0 / spec.p)
+        def outer(s):
+            # an atom a subset leaves uncovered has ln value -inf; a norm past
+            # the float range comes out inf and is caught by _check_finite
+            with np.errstate(divide="ignore", over="ignore"):
+                np.log(s, out=s)
+                s *= 0.5
+                return np.exp(kernel(s))
 
-        else:
-            def kernel(ln_v):
-                if spec.tag == "lpq":
-                    return lorentz_rows(ln_meas, ln_v, spec.p, spec.q)
-                return luxemburg_rows(ln_meas, ln_v, spec.orlicz)[0]
-
-            def fn(masks):
-                # an atom a subset leaves uncovered has ln value -inf; a norm past
-                # the float range comes out inf and is caught by _check_finite
-                with np.errstate(divide="ignore", over="ignore"):
-                    ln_v = masks @ im.T
-                    np.log(ln_v, out=ln_v)
-                    ln_v *= 0.5
-                    return np.exp(kernel(ln_v))
-
-    return BatchNorm(len(indices), fn)
+    return BatchNorm(im.T, lambda masks: masks @ im.T, outer)

@@ -246,8 +246,9 @@ def democracy_profile(spec, N_list, strategy="auto", universe=None):
     """Democracy functions over N_list with structural checks.
 
     strategy: exhaustive | structured | auto (exhaustive where the subset count
-    permits). Exhaustive rows are exact over the finite universe; structured
-    rows bound h_ell from above and h_r from below.
+    permits and the batch evaluator over the universe can be built; otherwise
+    structured). Exhaustive rows are exact over the finite universe;
+    structured rows bound h_ell from above and h_r from below.
     """
     if strategy not in ("auto", "exhaustive", "structured"):
         raise ParseError(f"unknown strategy {strategy!r} (auto, exhaustive or structured)")
@@ -262,7 +263,15 @@ def democracy_profile(spec, N_list, strategy="auto", universe=None):
             and math.comb(len(universe), N) <= EXHAUSTIVE_CAP
         )
         if use_exh:
-            h_ell, h_r, arg_min, arg_max = h_exhaustive(spec, universe, N)
+            try:
+                h_ell, h_r, arg_min, arg_max = h_exhaustive(spec, universe, N)
+            except FeasibilityError:
+                # the subset count fits, so the evaluator could not be built
+                # (e.g. a square-function incidence past its cap)
+                if strategy == "exhaustive":
+                    raise
+                use_exh = False
+        if use_exh:
             rows.append(
                 DemocracyRow(
                     N, h_ell, h_r, "exhaustive", "exact-on-universe",

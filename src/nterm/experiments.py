@@ -115,11 +115,15 @@ def jackson_verifier(spec, w: Weight, alpha, q, seqs, error_kind="gamma"):
     if finite(alpha, "alpha") <= 0:
         raise ParseError("alpha must be positive")
     omega = w.scaled(alpha)
-    cls = classify(omega, K=10**5)
+    K = 10**5
+    cls = classify(omega, K=K)
     if not cls.positive_dilation:
+        # a short table caps the range, and with it the ratios a certificate can use
+        clamped = "" if cls.range_cap == K else (
+            f"; classify's range 1..{K} was clamped to the table length {cls.range_cap}")
         raise FeasibilityError(
             f"weight {omega.label()} has no positive-dilation certificate "
-            f"(ratio table {cls.ratio_table})"
+            f"(ratio table {cls.ratio_table}){clamped}"
         )
     rows = []
     for x in seqs:

@@ -305,11 +305,27 @@ def orlicz_luxemburg_norm(f: StepFunction, phi: OrliczFunction):
 # row's norm (-inf for a row with no atom). Every reduction runs along a row,
 # so a row's float does not depend on the other rows of the matrix.
 
+# lorentz_rows sums the cumulative measures in linear scale when the atoms' ln
+# measures span less than this many nats, so every partial sum, relative to
+# the largest measure, is a normal float (>= e^-600)
+LINEAR_MEASURE_SPAN = 600.0
+
+
 def lorentz_rows(ln_measures, ln_values, p, q):
-    """ln L^{p,q} norm of each row's step function."""
+    """ln L^{p,q} norm of each row's step function.
+
+    The cumulative measures ln b of the rearranged pieces are
+    log(cumsum(exp(ln m - top))) + top, top the largest ln m, when the ln
+    measures span less than LINEAR_MEASURE_SPAN nats, and a logaddexp
+    accumulation otherwise (deep towers, families over hundreds of levels).
+    """
     order = np.argsort(-ln_values, axis=1)
     lv = ln_values[np.arange(len(ln_values))[:, None], order]
-    ln_b = np.logaddexp.accumulate(ln_measures[order], axis=1)
+    top = ln_measures.max(initial=-np.inf)
+    if top - ln_measures.min(initial=np.inf) < LINEAR_MEASURE_SPAN:
+        ln_b = np.log(np.exp(ln_measures - top)[order].cumsum(axis=1)) + top
+    else:
+        ln_b = np.logaddexp.accumulate(ln_measures[order], axis=1)
     ln_a = np.concatenate((np.full((len(lv), 1), -np.inf), ln_b[:, :-1]), axis=1)
     qp = q / p
     with np.errstate(divide="ignore"):
@@ -513,6 +529,17 @@ def _check_universe(spec, seq):
         raise TypeError(
             f"space {spec.label()} needs {spec.universe} indices, got {seq.kind}"
         )
+    check_rect_axes(spec, seq.entries)
+
+
+def check_rect_axes(spec, indices):
+    """ParseError unless hyp's rectangles have the spec's d axes. The first
+    index is checked; mixed rectangle dimensions are refused by the square
+    function."""
+    first = next(iter(indices), None)
+    if spec.tag == "hyp" and first is not None and first.d != spec.d:
+        raise ParseError(f"space {spec.label()} needs rectangles of {spec.d} axes, "
+                         f"got {first.d}")
 
 
 def space_norm(spec: SpaceSpec, seq: Sequence):

@@ -5,9 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from nterm.batch import KERNEL_ROWS, MASK_CHUNK, batch_evaluator
+from nterm.batch import KEPT_FLOATS, KERNEL_ROWS, MASK_CHUNK, batch_evaluator
 from nterm.democracy import default_universe, h_exhaustive, normalized_indicator_norm
-from nterm.errors import FeasibilityError, NumericError
+from nterm.errors import FeasibilityError, NumericError, ParseError
 from nterm.experiments import canonical_indices
 from nterm.greedy import sigma_n_exact
 from nterm.indices import Cube, Rect, interval
@@ -65,6 +65,34 @@ def test_batch_permuted_indices_match_canonical_order(label, rng):
             canon.subset_norms(list(itertools.combinations(range(n), N))))}
         assert by_set[frozenset(idx[perm[i]] for i in arg_lo)] == pytest.approx(lo, rel=1e-15)
         assert by_set[frozenset(idx[perm[i]] for i in arg_hi)] == pytest.approx(hi, rel=1e-15)
+
+
+def test_kept_index_rows_match_dense_masks(any_space, rng):
+    # subset_norms sums gathered rows of the column weights, in the order of
+    # each kept row; the dense masks sum the same columns in the matmul's (or
+    # the pairwise sum's) order, so the norms agree to rel 1e-14
+    spec = any_space
+    n = 9
+    idx = canonical_indices(spec, n)
+    perm = rng.permutation(n)
+    ev = batch_evaluator(spec, [idx[i] for i in perm], rng.uniform(0.05, 4.0, n))
+    for N in range(n + 1):
+        kept = np.array([rng.permutation(n)[:N] for _ in range(30)], dtype=np.intp)
+        want = ev.norms(ev.subset_masks(kept))
+        np.testing.assert_allclose(ev.subset_norms(kept), want, rtol=1e-14, atol=0.0)
+
+
+def test_hyp_refuses_rectangles_of_another_axis_count():
+    rect3 = Rect((interval(1, 0),) * 3)
+    for label in ("hyp:2,2", "hyp:4,2"):
+        spec = parse_space(label)
+        with pytest.raises(ParseError, match="rectangles of 2 axes, got 3"):
+            space_norm(spec, Sequence({rect3: 1.0}, "rect"))
+        with pytest.raises(ParseError, match="rectangles of 2 axes, got 3"):
+            batch_evaluator(spec, [rect3], [1.0])
+    spec = parse_space("hyp:4,3")
+    assert batch_evaluator(spec, [rect3], [1.0]).norms(np.ones((1, 1)))[0] == pytest.approx(
+        space_norm(spec, Sequence({rect3: 1.0}, "rect")), rel=1e-14)
 
 
 def test_batch_rejects_zero_values(rng):
@@ -175,6 +203,32 @@ def test_exhaustive_scan_memory_is_bounded_by_the_kernel_slice():
                                 r, scale_exp).ln_measures)
     rows = min(MASK_CHUNK, math.comb(n, N))
     bound = KERNEL_ROWS * (n + 2 * atoms) * 8 + rows * n
+    tracemalloc.start()
+    try:
+        h_exhaustive(spec, uni, N)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound, (peak / 2**20, bound / 2**20)
+
+
+def test_exhaustive_scan_builds_no_mask_block():
+    # an exhaustive scan of N-subsets holds index blocks of MASK_CHUNK x N
+    # positions (two while the next is built) and one block's norms; per
+    # kept-index slice, the (rows x atoms) inner sums and one gathered block,
+    # about KEPT_FLOATS floats each; and the evaluator's (atoms x n) incidence
+    # with its column permutation. A boolean (MASK_CHUNK x n) mask block would
+    # add 8 MB here.
+    spec = parse_space("hyp:4,2")
+    uni = default_universe(spec, 4)
+    n, N = len(uni.indices), 3
+    h_exhaustive(spec, uni, N)  # fills the element-norm cache
+    vals = [1.0 / element_norm(spec, i) for i in uni.indices]
+    r, scale_exp = spec.square_exponents
+    atoms = len(square_function(Sequence(dict(zip(uni.indices, vals)), spec.universe),
+                                r, scale_exp).ln_measures)
+    bound = MASK_CHUNK * (2 * N + 1) * 8 + 2 * KEPT_FLOATS * 8 + 2 * atoms * n * 8
+    assert MASK_CHUNK * n > bound
     tracemalloc.start()
     try:
         h_exhaustive(spec, uni, N)

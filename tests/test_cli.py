@@ -153,6 +153,19 @@ def test_democracy_command(capsys):
     assert float(row[1]) == pytest.approx(math.sqrt(2))
 
 
+def test_democracy_auto_falls_back_when_the_evaluator_cannot_be_built(capsys):
+    # C(20481, 1) fits the exhaustive cap, but the dense incidence of hyp:4,2's
+    # 20,481 rectangles does not fit the batch engine: auto gives structured
+    # rows, and an explicit exhaustive strategy still exits 3
+    assert main(["democracy", "--space", "hyp:4,2", "--N", "1,2"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.strip().splitlines()[1:]]
+    assert [(row[0], row[3]) for row in rows] == [("1", "structured"), ("2", "structured")]
+    assert float(rows[0][1]) == float(rows[0][2]) == 1.0
+    assert main(["democracy", "--space", "hyp:4,2", "--N", "1", "--strategy",
+                 "exhaustive"]) == 3
+    assert "incidence too large" in capsys.readouterr().err
+
+
 def test_democracy_bmo_beyond_float_measures(capsys):
     # families spanning 1100 levels, where 2^-1100 is 0.0 as a float
     assert main(["democracy", "--space", "bmo:2", "--N", "1100",
@@ -253,6 +266,10 @@ def test_parse_errors_exit_2(seqfile, tmp_path, capsys):
     mixed = tmp_path / "mixed.csv"
     mixed.write_text('index,coefficient\n1:0,1.0\n"2:0,1",1.0\n')
     assert main(["norm", "lpq:2,4", str(mixed)]) == 2
+    # a three-axis rectangle in a two-dimensional rectangle space
+    axes = tmp_path / "axes.csv"
+    axes.write_text("index,coefficient\n1:0|1:0|1:0,1.0\n")
+    assert main(["norm", "hyp:2,2", str(axes)]) == 2
     assert main(["democracy", "--space", "lp:2", "--N", "2,..., 8"]) == 2
     assert main(["democracy", "--space", "lp:2", "--N", "2,4,..."]) == 2
     assert main(["aspace", "lp:2", path, "--alpha", "0", "--q", "1"]) == 2
@@ -290,7 +307,7 @@ def test_parse_errors_exit_2(seqfile, tmp_path, capsys):
     assert main(["aspace", "lp:2", path, "--alpha", "1", "--q", "nan"]) == 2
     assert main(["experiment", "stechkin", "--alpha", "nan"]) == 2
     assert main(["experiment", "bernstein", "--space", "lp:2", "--alpha", "inf"]) == 2
-    assert capsys.readouterr().err.count("parse error:") == 42
+    assert capsys.readouterr().err.count("parse error:") == 43
 
 
 def test_unreadable_input_exit_2(tmp_path, capsys):

@@ -83,6 +83,16 @@ def test_jackson_refuses_uncertified_weight():
         jackson_verifier(L2, Weight.power_log(0, 1), 0.01, math.inf, seqs)
 
 
+def test_jackson_names_the_length_of_a_short_table():
+    # classify clamps its range to a table's length, and no 3-entry table can
+    # pass its margin; the error says so rather than blaming the weight alone
+    seqs = standard_test_set(L2, 8, seed=1, critical=1.0)
+    with pytest.raises(FeasibilityError, match=r"clamped to the table length 3$"):
+        jackson_verifier(L2, Weight.from_table([1.0, 1.5, 2.0]), 0.5, 2.0, seqs)
+    with pytest.raises(FeasibilityError, match=r"\)$"):
+        jackson_verifier(L2, Weight.power_log(0, 1), 0.01, math.inf, seqs)
+
+
 def test_jackson_single_element():
     # x = e_1: the constant reduces to the N = 0 ratio
     w = Weight.power_log(0.5)

@@ -12,6 +12,7 @@ from nterm.experiments import canonical_indices
 from nterm.indices import Cube, Rect, interval
 from nterm.sequences import Sequence
 from nterm.spaces import (
+    LINEAR_MEASURE_SPAN,
     StepFunction,
     lorentz_rows,
     lorentz_step_norm,
@@ -21,6 +22,7 @@ from nterm.spaces import (
     parse_orlicz,
     parse_space,
     space_norm,
+    square_function,
 )
 
 mpmath = pytest.importorskip("mpmath")
@@ -82,6 +84,63 @@ def test_lorentz_rows_equal_single_rows_and_scalar(data, pq):
         assert abs(g - want) <= 1e-14 * max(1.0, np.abs(ln_m).max(), np.abs(want))
         if abs(g) < 700:
             assert lorentz_step_norm(StepFunction(ln_m, row), p, q) == math.exp(g)
+
+
+def _ln_lorentz_logaddexp(ln_measures, ln_values, p, q):
+    """lorentz_rows with the cumulative measures always taken by
+    np.logaddexp.accumulate: the floats of its branch past the guard."""
+    order = np.argsort(-ln_values, axis=1)
+    lv = ln_values[np.arange(len(ln_values))[:, None], order]
+    ln_b = np.logaddexp.accumulate(ln_measures[order], axis=1)
+    ln_a = np.concatenate((np.full((len(lv), 1), -np.inf), ln_b[:, :-1]), axis=1)
+    qp = q / p
+    with np.errstate(divide="ignore"):
+        ln_diff = qp * ln_b + np.log(-np.expm1(-qp * (ln_b - ln_a)))
+        terms = math.log(p / q) + ln_diff + q * lv
+        mx = terms.max(axis=1, initial=-np.inf)
+        mx = np.where(mx > -np.inf, mx, 0.0)
+        return (mx + np.log(np.exp(terms - mx[:, None]).sum(axis=1))) / q
+
+
+def _tower(levels, rng):
+    """ln measures and ln values of the square function of a nested tower of
+    cubes at levels 0..levels-1, with random coefficients."""
+    seq = Sequence({Cube(j, (0,)): float(np.exp(rng.uniform(-3.0, 3.0)))
+                    for j in range(levels)}, "cube")
+    f = square_function(seq, 2.0, -0.5)
+    return f.ln_measures, f.ln_values[None, :]
+
+
+@pytest.mark.parametrize("pq", LORENTZ)
+def test_lorentz_rows_linear_measures_below_the_guard(pq, rng):
+    p, q = pq
+    # ln measures spanning just under the guard, values within a factor e: the
+    # linear cumulative sums give the logaddexp formula's norms to rel 1e-14
+    for _ in range(20):
+        k = int(rng.integers(2, 200))
+        ln_m = rng.uniform(-599.9, 0.0, k)
+        ln_m[:2] = -599.9, 0.0
+        ln_v = rng.uniform(-1.0, 1.0, (4, k))
+        got, want = lorentz_rows(ln_m, ln_v, p, q), _ln_lorentz_logaddexp(ln_m, ln_v, p, q)
+        np.testing.assert_allclose(np.exp(got), np.exp(want), rtol=1e-14, atol=0.0)
+    # a tower of 864 levels spans 597.5 nats; its ln norms reach hundreds, and
+    # agree to a few ulps of them (an ulp of 300 is 5.7e-14)
+    ln_m, ln_v = _tower(864, rng)
+    assert np.ptp(ln_m) < LINEAR_MEASURE_SPAN
+    got, want = lorentz_rows(ln_m, ln_v, p, q), _ln_lorentz_logaddexp(ln_m, ln_v, p, q)
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("pq", LORENTZ)
+def test_lorentz_rows_logaddexp_floats_at_and_past_the_guard(pq, rng):
+    p, q = pq
+    ln_m = np.array([-LINEAR_MEASURE_SPAN, 0.0, -3.0])
+    ln_v = rng.uniform(-5.0, 5.0, (4, 3))
+    cases = [(ln_m, ln_v), _tower(1000, rng)]
+    for ln_m, ln_v in cases:
+        assert np.ptp(ln_m) >= LINEAR_MEASURE_SPAN
+        got = lorentz_rows(ln_m, ln_v, p, q)
+        assert np.array_equal(got, _ln_lorentz_logaddexp(ln_m, ln_v, p, q))
 
 
 @given(step_rows(), st.sampled_from(ORLICZ))
