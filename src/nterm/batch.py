@@ -12,7 +12,8 @@ The square-function spaces (fpr, lpq, orlicz, hyp) take their atoms and the
 (atom x index) incidence of r-th power weights from the cover that
 spaces.square_function records, so the scalar and batch layers share one
 refinement (its canonical index order is permuted to the given order once, at
-build); an incidence past 5e7 entries raises FeasibilityError.
+build); an incidence past INCIDENCE_CAP = 5e7 entries raises FeasibilityError
+before the square function is built.
 
 The inner sums (p-th powers, r-th power square-function sums, bmo means) are
 taken in linear float range and checked finite; a support whose weights leave
@@ -51,6 +52,7 @@ from itertools import chain, combinations, islice
 import numpy as np
 
 from .errors import FeasibilityError, NumericError
+from .geometry import rect_grid
 from .indices import canonical_key
 from .sequences import Sequence
 from .spaces import (SpaceSpec, bmo_weights, check_rect_axes, lorentz_rows, luxemburg_rows,
@@ -64,6 +66,8 @@ MASK_CHUNK = 1 << 16
 KERNEL_ROWS = 1 << 12
 # floats per (rows x atoms) temporary of a kept-index slice in subset_norms
 KEPT_FLOATS = 1 << 16
+# entries of the (atoms x indices) square-function incidence
+INCIDENCE_CAP = 5 * 10**7
 
 
 class BatchNorm:
@@ -138,6 +142,7 @@ class BatchNorm:
                 lo, arg_lo = float(out[i]), tuple(block[i].tolist())
             if out[j] > hi:
                 hi, arg_hi = float(out[j]), tuple(block[j].tolist())
+            del block, out  # so the next block is built without this one
         return lo, hi, arg_lo, arg_hi
 
 
@@ -155,8 +160,6 @@ def _incidence(f, n):
     over n support indices, read off the cover square_function records."""
     ln_wr, grid, bounds, atoms = f.cover
     cells = math.prod(grid)
-    if cells * n > 5 * 10**7:
-        raise FeasibilityError("square-function incidence too large for the batch engine")
     with np.errstate(over="ignore"):
         wr = np.exp(ln_wr)
     cell = np.arange(cells)[atoms]
@@ -201,11 +204,20 @@ def batch_evaluator(spec: SpaceSpec, indices, values) -> BatchNorm:
                          lambda s: s[:, 0] ** (1.0 / spec.p) + s[:, 1] ** (1.0 / spec.q))
 
     if spec.tag == "bmo":
-        cmat = np.column_stack(list(bmo_weights(indices, [v**spec.r for v in values])))
+        rows, = bmo_weights(indices, [v**spec.r for v in values])
+        # (nodes x n) in C order, the layout the matmul has always read
+        cmat = np.ascontiguousarray(rows.T)
         _check_finite(cmat)
         return BatchNorm(cmat.T, lambda masks: masks @ cmat.T,
                          lambda s: np.max(s, axis=1) ** (1.0 / spec.r))
 
+    # refuse an incidence past its cap before the square function is built:
+    # the cover has one cell per cube, or the cells of the rectangles' grid
+    cells = len(indices)
+    if spec.universe == "rect" and len(indices):
+        cells = math.prod(len(b) - 1 for b in rect_grid(indices)[0])
+    if cells * len(indices) > INCIDENCE_CAP:
+        raise FeasibilityError("square-function incidence too large for the batch engine")
     r, scale_exp = spec.square_exponents
     f = square_function(Sequence(dict(zip(indices, values)), spec.universe), r, scale_exp)
     # the cover's indices are in canonical order; its columns go back to the given order

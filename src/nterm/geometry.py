@@ -119,6 +119,8 @@ def rect_grid(rects):
     """Per-axis breakpoints of the refinement grid of dyadic rectangles, and per
     axis the cell bounds (lo, hi) of the rectangles: rectangle i covers the
     cells lo[i] <= c < hi[i] along that axis."""
+    if any(r.d != rects[0].d for r in rects):
+        raise ValueError("mixed rectangle dimensions")
     breaks, bounds = [], []
     for axis in range(rects[0].d):
         lohi = [r.intervals[axis].support()[0] for r in rects]

@@ -22,12 +22,14 @@ class Sequence:
 
     def __init__(self, entries, kind="integer"):
         if isinstance(entries, dict):
-            items = entries.items()
+            # a dict copies with the keys' stored hashes; dict(entries.items())
+            # would hash every index again
+            self.entries = dict(entries)
         else:
             items = list(entries)
             if len({i for i, _ in items}) != len(items):
                 raise ValueError("duplicate index in sequence")
-        self.entries = dict(items)
+            self.entries = dict(items)
         self.kind = kind
 
     @classmethod

@@ -457,9 +457,6 @@ def _square_atoms_cubes(cubes, r, ln_wr):
 
 
 def _square_atoms_rects(rects, r, ln_wr):
-    d = rects[0].d
-    if any(rect.d != d for rect in rects):
-        raise ValueError("mixed rectangle dimensions")
     if any(iv.j > MAX_RECT_LEVEL for rect in rects for iv in rect.intervals):
         raise FeasibilityError("rectangle level beyond supported grid range")
     breaks, bounds = rect_grid(rects)
@@ -484,6 +481,10 @@ def _square_atoms_rects(rects, r, ln_wr):
 # bmo
 # ---------------------------------------------------------------------------
 
+# floats per block of bmo weight rows in bmo_norm
+BMO_BLOCK_FLOATS = 1 << 15
+
+
 def bmo_norm(seq: Sequence, r):
     """sup over dyadic intervals I of ((1/|I|) sum_{J subset I} |s_J|^r |J|)^(1/r).
 
@@ -493,7 +494,10 @@ def bmo_norm(seq: Sequence, r):
     ancestor I holds the same intervals J as the node below it while |I|
     doubles at each level, so its mean is smaller. Each node's mean is summed
     from the relative weights |s_J|^r |J|/|I| = |s_J|^r 2^(j_I - j_J), exact
-    powers of two that stay in range at any depth, in the order of the items.
+    powers of two that stay in range at any depth, in the order of the items:
+    the weight rows come in blocks of at most BMO_BLOCK_FLOATS floats, and
+    numpy sums a block along axis 0 one row after another, starting from the
+    running sums folded into its first row.
     """
     if r <= 0:
         raise ValueError("r must be positive")
@@ -502,22 +506,34 @@ def bmo_norm(seq: Sequence, r):
     items = [(iv, abs(v)) for iv, v in seq.entries.items() if v != 0.0]
     if not items:
         return 0.0
-    # the columns are added in item order, so each node's sum keeps that order
-    sums = reduce(np.add, bmo_weights([iv for iv, _ in items], [mag**r for _, mag in items]))
+    sums = None
+    for block in bmo_weights([iv for iv, _ in items], [mag**r for _, mag in items],
+                             BMO_BLOCK_FLOATS):
+        if sums is not None:
+            block[0] += sums
+        sums = block.sum(axis=0)
     return float(sums.max()) ** (1.0 / r)
 
 
-def bmo_weights(intervals, pows):
+def bmo_weights(intervals, pows, block_floats=None):
     """Relative weights of the bmo means over the virtual tree of the intervals.
 
-    Yields, for each interval J in order, the vector over the tree nodes I of
-    pows[J] |J|/|I| = pows[J] 2^(j_I - j_J) where I contains J, and 0 elsewhere.
+    Row J, for each interval J in order, is the vector over the tree nodes I
+    of pows[J] |J|/|I| = pows[J] 2^(j_I - j_J) where I contains J, and 0
+    elsewhere. Yields the rows as consecutive (rows x nodes) blocks of at
+    most block_floats floats (at least one row each), or all in one block.
     """
     nodes, start, end = virtual_tree(intervals)
     levels = np.array([iv.j for iv in nodes])
-    for i, (iv, w) in enumerate(zip(intervals, pows)):
-        inside = (start <= start[i]) & (start[i] < end)
-        yield np.where(inside, np.ldexp(w, np.minimum(levels - iv.j, 0)), 0.0)
+    pows = np.asarray(pows, dtype=float)
+    n = len(intervals)
+    step = n if block_floats is None else max(1, block_floats // len(nodes))
+    for i in range(0, n, step):
+        rows = slice(i, min(i + step, n))  # the tree lists the intervals first
+        s = start[rows, None]
+        inside = (start <= s) & (s < end)
+        rel = np.minimum(levels - levels[rows, None], 0)
+        yield np.where(inside, np.ldexp(pows[rows, None], rel), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -534,8 +550,8 @@ def _check_universe(spec, seq):
 
 def check_rect_axes(spec, indices):
     """ParseError unless hyp's rectangles have the spec's d axes. The first
-    index is checked; mixed rectangle dimensions are refused by the square
-    function."""
+    index is checked; mixed rectangle dimensions are refused by the
+    refinement grid."""
     first = next(iter(indices), None)
     if spec.tag == "hyp" and first is not None and first.d != spec.d:
         raise ParseError(f"space {spec.label()} needs rectangles of {spec.d} axes, "
@@ -570,36 +586,73 @@ def space_norm(spec: SpaceSpec, seq: Sequence):
 # normalized basis layer
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=1 << 18)
-def _element_norm_cached(spec, idx):
-    return space_norm(spec, Sequence({idx: 1.0}, spec.universe))
-
-
-def _origin_translate(idx):
-    """The same-size cube or rectangle at offset 0; other indices unchanged."""
+def _level(idx):
+    """L = -log2 |idx| as an int: j d for a cube, the sum of the axis levels
+    for a rectangle, 0 for an integer or a pair."""
     if isinstance(idx, Cube):
-        return Cube(idx.j, (0,) * idx.d)
+        return idx.j * idx.d
     if isinstance(idx, Rect):
-        return Rect(tuple(Cube(iv.j, (0,) * iv.d) for iv in idx.intervals))
-    return idx
+        return sum(iv.j for iv in idx.intervals)
+    return 0
+
+
+@lru_cache(maxsize=1 << 18)
+def _element_norm_cached(spec, level):
+    if spec.tag in ("lp", "lplq", "bmo"):
+        return 1.0
+    x = level * LN2
+    if spec.tag == "orlicz":
+        # the one atom square_function builds: ln measure -L ln 2, ln value (L/2) ln 2
+        return math.exp(luxemburg_rows(np.array([-x]), np.array([[x / 2]]), spec.orlicz)[0][0])
+    if spec.tag == "fpr":
+        return math.exp(x * (spec.s / spec.d + 0.5 - 1.0 / spec.p))
+    if spec.tag == "lpq":
+        return math.exp(math.log(spec.p / spec.q) / spec.q + x * (0.5 - 1.0 / spec.p))
+    return math.exp(x * (0.5 - 1.0 / spec.p))  # hyp
+
+
+def _check_rect_element(spec, rect, level):
+    """The errors square_function raises on one rectangle: its axis count,
+    each axis's level, and its r-th power weight 2^L past the float range."""
+    check_rect_axes(spec, (rect,))
+    if any(iv.j > MAX_RECT_LEVEL for iv in rect.intervals):
+        raise FeasibilityError("rectangle level beyond supported grid range")
+    try:
+        math.exp(level * LN2)
+    except OverflowError:
+        raise NumericError("rectangle weight out of float range") from None
 
 
 def element_norm(spec, idx):
-    """Norm of the canonical basis element at idx.
+    """Norm of the canonical basis element at idx, in closed form from its
+    size L = -log2 |idx| (an int, `_level`) and cached per (spec, L).
 
-    Cached per element size: every cube, interval or rectangle shares its
-    entry with its translate at offset 0. A single element's norm never sees
-    its position. Its square function is one atom (or one grid cell) whose
-    measure and value come from the level alone. Its bmo sup is its own mean
-    1. So the translate's norm is the same float, computed by `space_norm` on
-    a real element like any other.
+    - lp, lplq and bmo: 1.0.
+    - fpr:s,p,r,d: 2^(L (s/d + 1/2 - 1/p)), d from the spec.
+    - lpq:p,q: (p/q)^(1/q) 2^(L (1/2 - 1/p)), the fundamental function
+      (p/q)^(1/q) t^(1/p) of L^{p,q} at t = |Q|, times the scale |Q|^(-1/2).
+    - hyp:p,d: 2^(L (1/2 - 1/p)).
+    - orlicz: the Luxemburg norm of the one atom of measure 2^-L and value
+      2^(L/2), by `luxemburg_rows`, so 1 / Phi^{-1}(2^L) times 2^(L/2).
+
+    Each power is math.exp of its log, so one past the float range raises
+    OverflowError as `space_norm` does. The lp, lplq, bmo and orlicz values
+    are the floats `space_norm` gives on the single element. The fpr, lpq and
+    hyp values are within 4 eps (1 + L ln 2) rel of them: `space_norm` carries
+    ln of the measure and of the value, each off by up to eps L ln 2, and the
+    closed form is the more accurate of the two. hyp elements are first
+    checked as `space_norm` checks them, with the same errors.
     """
-    return _element_norm_cached(spec, _origin_translate(idx))
+    level = _level(idx)
+    if spec.tag == "hyp":
+        _check_rect_element(spec, idx, level)
+    return _element_norm_cached(spec, level)
 
 
 def to_raw(spec, seq: Sequence) -> Sequence:
     """Convert normalized-basis coefficients to raw coefficients by dividing
-    each entry by the norm of its basis element."""
+    each entry by the closed-form norm of its basis element (`element_norm`,
+    one cache lookup per entry)."""
     return Sequence(
         {i: v / element_norm(spec, i) for i, v in seq.entries.items()}, seq.kind
     )

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import tracemalloc
@@ -5,14 +6,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from nterm import batch
 from nterm.batch import KEPT_FLOATS, KERNEL_ROWS, MASK_CHUNK, batch_evaluator
 from nterm.democracy import default_universe, h_exhaustive, normalized_indicator_norm
 from nterm.errors import FeasibilityError, NumericError, ParseError
 from nterm.experiments import canonical_indices
+from nterm.geometry import virtual_tree
 from nterm.greedy import sigma_n_exact
 from nterm.indices import Cube, Rect, interval
 from nterm.sequences import Sequence, indicator
-from nterm.spaces import ambient_norm, element_norm, parse_space, space_norm, square_function
+from nterm.spaces import (BMO_BLOCK_FLOATS, ambient_norm, bmo_norm, element_norm, parse_space,
+                          space_norm, square_function)
 
 # small default universes: 8 integers, 4+4 pairs, 15 cubes or intervals, 17 rectangles
 SCAN_SIZE = {"integer": 8, "pair": 4, "cube": 16, "interval": 3, "rect": 2}
@@ -213,8 +217,9 @@ def test_exhaustive_scan_memory_is_bounded_by_the_kernel_slice():
 
 
 def test_exhaustive_scan_builds_no_mask_block():
-    # an exhaustive scan of N-subsets holds index blocks of MASK_CHUNK x N
-    # positions (two while the next is built) and one block's norms; per
+    # an exhaustive scan of N-subsets holds one index block of MASK_CHUNK x N
+    # positions at a time (the previous one is freed before the next is
+    # built) and that block's norms; per
     # kept-index slice, the (rows x atoms) inner sums and one gathered block,
     # about KEPT_FLOATS floats each; and the evaluator's (atoms x n) incidence
     # with its column permutation. A boolean (MASK_CHUNK x n) mask block would
@@ -227,7 +232,7 @@ def test_exhaustive_scan_builds_no_mask_block():
     r, scale_exp = spec.square_exponents
     atoms = len(square_function(Sequence(dict(zip(uni.indices, vals)), spec.universe),
                                 r, scale_exp).ln_measures)
-    bound = MASK_CHUNK * (2 * N + 1) * 8 + 2 * KEPT_FLOATS * 8 + 2 * atoms * n * 8
+    bound = MASK_CHUNK * (N + 1) * 8 + 2 * KEPT_FLOATS * 8 + 2 * atoms * n * 8
     assert MASK_CHUNK * n > bound
     tracemalloc.start()
     try:
@@ -236,3 +241,43 @@ def test_exhaustive_scan_builds_no_mask_block():
     finally:
         tracemalloc.stop()
     assert peak < bound, (peak / 2**20, bound / 2**20)
+
+
+def test_oversized_rect_incidence_is_refused_before_the_square_function(monkeypatch):
+    # hyp:4,2's default universe: 20,481 rectangles over a 1,024 x 1,024 grid
+    def fail(*args):
+        raise AssertionError("square_function ran")
+
+    monkeypatch.setattr(batch, "square_function", fail)
+    idx = default_universe(parse_space("hyp:4,2")).indices
+    with pytest.raises(FeasibilityError, match="incidence too large"):
+        batch_evaluator(parse_space("hyp:4,2"), idx, [1.0] * len(idx))
+
+
+def _bmo_rows_one_by_one(intervals, pows):
+    """The bmo weight rows built one interval at a time, as a test oracle."""
+    nodes, start, end = virtual_tree(intervals)
+    levels = np.array([iv.j for iv in nodes])
+    return [np.where((start <= start[i]) & (start[i] < end),
+                     np.ldexp(w, np.minimum(levels - iv.j, 0)), 0.0)
+            for i, (iv, w) in enumerate(zip(intervals, pows))]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_bmo_block_sums_are_the_row_fold(seed):
+    # a few hundred random intervals give several BMO_BLOCK_FLOATS blocks; the
+    # block sums must be bitwise the left fold of the rows in item order, and
+    # the batch evaluator must hold the same rows
+    rng = np.random.default_rng(seed)
+    found = {}
+    while len(found) < 300:
+        j = int(rng.integers(0, 40))
+        found[interval(j, int(rng.integers(0, 2**j)))] = float(rng.uniform(0.1, 3.0))
+    ivs, vals = list(found), np.array(list(found.values()))
+    pows = [v**2.0 for v in vals]
+    rows = _bmo_rows_one_by_one(ivs, pows)
+    assert len(ivs) * len(rows[0]) > 3 * BMO_BLOCK_FLOATS
+    fold = functools.reduce(np.add, rows)
+    assert bmo_norm(Sequence(found, "interval"), 2.0) == float(fold.max()) ** 0.5
+    ev = batch_evaluator(parse_space("bmo:2"), ivs, vals)
+    assert np.array_equal(ev._cols, np.array(rows))

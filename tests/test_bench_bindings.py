@@ -37,3 +37,10 @@ def test_worker_module_attributes_resolve():
     missing = [f"{mod}.{attr}" for mod, attr in sorted(used)
                if not hasattr(importlib.import_module(mod), attr)]
     assert not missing
+
+
+def test_element_norm_cache_info_resolves():
+    # the worker records the element-norm cache's hits and misses
+    from nterm import spaces
+
+    assert callable(getattr(spaces._element_norm_cached, "cache_info", None))

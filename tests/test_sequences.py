@@ -5,6 +5,30 @@ from nterm.indices import Cube
 from nterm.sequences import Sequence, indicator, rearrange
 
 
+class _CountedKey:
+    """An index whose __hash__ calls are counted."""
+
+    calls = 0
+
+    def __init__(self, k):
+        self.k = k
+
+    def __hash__(self):
+        _CountedKey.calls += 1
+        return hash(self.k)
+
+    def __eq__(self, other):
+        return self.k == other.k
+
+
+def test_dict_argument_is_copied_without_rehashing():
+    entries = {_CountedKey(k): float(k) for k in range(64)}
+    _CountedKey.calls = 0
+    seq = Sequence(entries)
+    assert _CountedKey.calls == 0
+    assert seq.entries == entries and seq.entries is not entries
+
+
 def test_rearrangement_examples():
     s = Sequence({1: 3.0, 2: -1.0, 3: 2.0})
     r = rearrange(s)

@@ -323,14 +323,22 @@ def test_lp_disjoint_additivity_matches_fpr(rng):
 def test_element_norms_known_values():
     assert element_norm(parse_space("lp:2"), 5) == 1.0
     assert element_norm(parse_space("bmo:2"), interval(3, 1)) == 1.0
-    assert element_norm(parse_space("fpr:0,2,2,1"), Cube(4, (3,))) == pytest.approx(1.0)
-    # lpq: (p/q)^{1/q} |Q|^{1/p-1/2}
+    assert element_norm(parse_space("fpr:0,2,2,1"), Cube(4, (3,))) == 1.0
+    # lpq: (p/q)^{1/q} |Q|^{1/p-1/2}, and hyp:2,2's 2^(L (1/2 - 1/p)), do not
+    # depend on the level at p = 2
     spec = parse_space("lpq:2,4")
-    assert element_norm(spec, Cube(6, (1,))) == pytest.approx((2 / 4) ** 0.25, rel=1e-12)
+    assert element_norm(spec, Cube(6, (1,))) == 0.5**0.25
+    assert element_norm(spec, Cube(1000, (1, 2))) == 0.5**0.25
+    rect = Rect((interval(MAX_RECT_LEVEL, 3), interval(MAX_RECT_LEVEL, 0)))
+    assert element_norm(parse_space("hyp:2,2"), rect) == 1.0
 
 
-ELEMENT_SPACES = ["lpq:2,4", "lpq:4,2", "fpr:0,2,2,1", "fpr:0.3,2,1.5,2", "orlicz:ulogu",
-                  "orlicz:powlog:2,1", "bmo:2", "hyp:4,2", "hyp:2,2"]
+ELEMENT_SPACES = ["lp:1.5", "lplq:1,2", "lpq:2,4", "lpq:4,2", "fpr:0,2,2,1",
+                  "fpr:0.3,2,1.5,2", "orlicz:ulogu", "orlicz:powlog:2,1", "bmo:2",
+                  "hyp:4,2", "hyp:2,2", "hyp:4,3"]
+# closed forms that can differ from the general path's float by rounding
+ROUNDED = ("fpr", "lpq", "hyp")
+EPS = np.finfo(float).eps
 
 
 def _outcome(spec, idx, cached):
@@ -343,13 +351,26 @@ def _outcome(spec, idx, cached):
         return type(exc), str(exc)
 
 
+def _level(idx):
+    """L = -log2 of the element's measure."""
+    if isinstance(idx, Cube):
+        return idx.j * idx.d
+    return sum(iv.j for iv in idx.intervals) if isinstance(idx, Rect) else 0
+
+
 @st.composite
 def _elements(draw, universe):
-    """A random signed cube (d = 1..3), interval or two-axis rectangle."""
+    """A random element of the universe: an integer, a pair, a signed cube
+    (d = 1..3), an interval, or a rectangle of 1 to 3 axes whose levels reach
+    past MAX_RECT_LEVEL."""
+    if universe == "integer":
+        return draw(st.integers(-10**6, 10**6))
+    if universe == "pair":
+        return Pair(draw(st.integers(0, 1)), draw(st.integers(-10**6, 10**6)))
     if universe == "rect":
         ivs = []
-        for _ in range(2):
-            j = draw(st.integers(0, MAX_RECT_LEVEL))
+        for _ in range(draw(st.sampled_from([1, 2, 2, 2, 3, 3, 3]))):
+            j = draw(st.integers(0, MAX_RECT_LEVEL + 20))
             # rectangle supports are floats: keep the offsets where they are exact
             bound = 1 << min(j + 1, 52)
             ivs.append(interval(j, draw(st.integers(-bound, bound))))
@@ -360,15 +381,68 @@ def _elements(draw, universe):
     return Cube(j, tuple(draw(st.integers(-bound, bound)) for _ in range(d)))
 
 
+def _assert_matches_general_path(spec, idx):
+    """element_norm against space_norm on the single element: the same error
+    (type and message), the same float for lp, lplq, bmo and orlicz, and for
+    fpr, lpq and hyp a rel difference of at most 4 eps (1 + L ln 2), the
+    rounding of the general path's log-scale measure and value."""
+    closed = _outcome(spec, idx, cached=True)
+    general = _outcome(spec, idx, cached=False)
+    if isinstance(closed, tuple) or isinstance(general, tuple) or spec.tag not in ROUNDED:
+        assert closed == general
+    else:
+        tol = 4 * EPS * (1 + _level(idx) * math.log(2))
+        assert abs(closed - general) <= tol * closed, (closed, general)
+
+
 @pytest.mark.parametrize("label", ELEMENT_SPACES)
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_element_norm_is_the_uncached_single_element_norm(label, data):
-    # the cache is keyed by the element's translate at offset 0; every
-    # translate must still get exactly the float (or the error) of its own norm
     spec = parse_space(label)
-    idx = data.draw(_elements(spec.universe))
-    assert _outcome(spec, idx, cached=True) == _outcome(spec, idx, cached=False)
+    _assert_matches_general_path(spec, data.draw(_elements(spec.universe)))
+
+
+@pytest.mark.parametrize("levels", [(500, 500, 23), (500, 500, 24), (500, 500, 25),
+                                    (501, 0, 0), (0, 0)])
+def test_rect_element_errors_are_the_general_paths(levels):
+    # the weight 2^L = e^(L ln 2) stays a float through L = 1024, and a level
+    # past MAX_RECT_LEVEL or a wrong axis count fails first
+    rect = Rect(tuple(interval(j, 0) for j in levels))
+    _assert_matches_general_path(parse_space("hyp:4,3"), rect)
+
+
+@pytest.mark.parametrize("label", ["fpr:0.3,2,1.5,2", "fpr:0.5,3,2,1", "lpq:2,4", "lpq:4,2",
+                                   "lpq:1.2,6", "hyp:4,2", "hyp:1.5,2", "orlicz:pow:3",
+                                   "orlicz:ulogu", "orlicz:powlog:2,1"])
+@pytest.mark.parametrize("level", [0, 1, 7, 64, 500, 1000])
+def test_element_norm_closed_forms_against_mpmath(label, level):
+    # 50-digit values of |Q|^(-1/2) ||chi_Q|| at |Q| = 2^-L: the fundamental
+    # functions (p/q)^(1/q) t^(1/p) of L^{p,q}, t^(1/p) of L^p (times |Q|^(-s/d)
+    # for fpr) and 1/Phi^-1(1/t) of the Orlicz space
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 50
+    spec = parse_space(label)
+    if spec.tag == "hyp":
+        idx = Rect((interval(level // 2, 0), interval(level - level // 2, 0)))
+    else:
+        idx = Cube(level, (0,))
+    t, scale = mp.mpf(2) ** -level, mp.mpf(2) ** (level / mp.mpf(2))
+    if spec.tag == "fpr":
+        exact = scale * t ** (1 / mp.mpf(spec.p)) * t ** (-spec.s / mp.mpf(spec.d))
+    elif spec.tag == "lpq":
+        p, q = mp.mpf(spec.p), mp.mpf(spec.q)
+        exact = scale * (p / q) ** (1 / q) * t ** (1 / p)
+    elif spec.tag == "hyp":
+        exact = scale * t ** (1 / mp.mpf(spec.p))
+    else:
+        p, g = mp.mpf(spec.orlicz.p), mp.mpf(spec.orlicz.g)
+        # Phi(u) = 1/t with u = e^y, solved in y so that deep levels stay in range
+        y = mp.findroot(lambda y: p * y + g * mp.log(mp.log1p(mp.exp(y))) - level * mp.log(2),
+                        level * mp.log(2) / p)
+        exact = scale / mp.exp(y)
+    tol = 4 * EPS * (1 + level * math.log(2))
+    assert abs(element_norm(spec, idx) - exact) <= tol * exact
 
 
 @pytest.mark.parametrize("label, indices", [
