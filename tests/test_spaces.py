@@ -12,6 +12,7 @@ from nterm.spaces import (
     MAX_RECT_LEVEL,
     StepFunction,
     _element_norm_cached,
+    _level,
     ambient_norm,
     element_norm,
     lorentz_step_norm,
@@ -349,13 +350,6 @@ def _outcome(spec, idx, cached):
         return space_norm(spec, Sequence({idx: 1.0}, spec.universe))
     except Exception as exc:
         return type(exc), str(exc)
-
-
-def _level(idx):
-    """L = -log2 of the element's measure."""
-    if isinstance(idx, Cube):
-        return idx.j * idx.d
-    return sum(iv.j for iv in idx.intervals) if isinstance(idx, Rect) else 0
 
 
 @st.composite
