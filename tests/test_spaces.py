@@ -415,28 +415,28 @@ def test_element_norm_closed_forms_against_mpmath(label, level):
     # functions (p/q)^(1/q) t^(1/p) of L^{p,q}, t^(1/p) of L^p (times |Q|^(-s/d)
     # for fpr) and 1/Phi^-1(1/t) of the Orlicz space
     mp = pytest.importorskip("mpmath")
-    mp.mp.dps = 50
     spec = parse_space(label)
     if spec.tag == "hyp":
         idx = Rect((interval(level // 2, 0), interval(level - level // 2, 0)))
     else:
         idx = Cube(level, (0,))
-    t, scale = mp.mpf(2) ** -level, mp.mpf(2) ** (level / mp.mpf(2))
-    if spec.tag == "fpr":
-        exact = scale * t ** (1 / mp.mpf(spec.p)) * t ** (-spec.s / mp.mpf(spec.d))
-    elif spec.tag == "lpq":
-        p, q = mp.mpf(spec.p), mp.mpf(spec.q)
-        exact = scale * (p / q) ** (1 / q) * t ** (1 / p)
-    elif spec.tag == "hyp":
-        exact = scale * t ** (1 / mp.mpf(spec.p))
-    else:
-        p, g = mp.mpf(spec.orlicz.p), mp.mpf(spec.orlicz.g)
-        # Phi(u) = 1/t with u = e^y, solved in y so that deep levels stay in range
-        y = mp.findroot(lambda y: p * y + g * mp.log(mp.log1p(mp.exp(y))) - level * mp.log(2),
-                        level * mp.log(2) / p)
-        exact = scale / mp.exp(y)
-    tol = 4 * EPS * (1 + level * math.log(2))
-    assert abs(element_norm(spec, idx) - exact) <= tol * exact
+    with mp.workdps(50):
+        t, scale = mp.mpf(2) ** -level, mp.mpf(2) ** (level / mp.mpf(2))
+        if spec.tag == "fpr":
+            exact = scale * t ** (1 / mp.mpf(spec.p)) * t ** (-spec.s / mp.mpf(spec.d))
+        elif spec.tag == "lpq":
+            p, q = mp.mpf(spec.p), mp.mpf(spec.q)
+            exact = scale * (p / q) ** (1 / q) * t ** (1 / p)
+        elif spec.tag == "hyp":
+            exact = scale * t ** (1 / mp.mpf(spec.p))
+        else:
+            p, g = mp.mpf(spec.orlicz.p), mp.mpf(spec.orlicz.g)
+            # Phi(u) = 1/t with u = e^y, solved in y so that deep levels stay in range
+            y = mp.findroot(lambda y: p * y + g * mp.log(mp.log1p(mp.exp(y))) - level * mp.log(2),
+                            level * mp.log(2) / p)
+            exact = scale / mp.exp(y)
+        rel = float(abs(element_norm(spec, idx) - exact) / exact)
+    assert rel <= 4 * EPS * (1 + level * math.log(2))
 
 
 @pytest.mark.parametrize("label, indices", [
