@@ -9,21 +9,25 @@ from fractions import Fraction
 
 import numpy as np
 
+from .batch import batch_evaluator
 # h_structured is not called here, but perfbench/tracer.py requires this binding
 from .democracy import h_structured  # noqa: F401
 from .democracy import default_universe, structured_family, structured_values
-from .errors import FeasibilityError, ParseError, finite
+from .errors import FeasibilityError, NumericError, ParseError, finite
 from .greedy import aspace_norm, gamma_profile, sigma_profile
 from .indices import Cube, Pair, Rect, interval
 from .lorentz import lorentz_norm, weighted_lq
 from .sequences import Sequence
-from .spaces import SpaceSpec, ambient_norm, parse_space
+from .spaces import SpaceSpec, ambient_norm, element_norm, parse_space
 from .weights import Weight, classify
 
 TAIL_FACTORS = (0.6, 1.1, 2.1)  # power-tail decay relative to the critical exponent
 TEST_SET_SIZE = 12  # sequences per standard test set
 TWO_BLOCK_GRID = 48  # geometric grid of k in the two-block witness norms
 TWO_BLOCK_SAMPLES = 4  # sampled tie choices per k in the two-block gamma
+# columns of the two-block witness's batch evaluator; past it the rows take the
+# scalar path, whose memory does not grow with the support times the rows
+WITNESS_BATCH_MAX = 1 << 11
 RATE_GRID = 40  # geometric grid points of the non-linearity rate fits
 EXACT_COUNT_BITS = 2**14  # size cap of the integers the exact block counts compare
 
@@ -307,62 +311,83 @@ def prop71_witness(spec, alpha, tau, schedule, N_list, support_cap=100_000, seed
 def _two_block_norms(spec, left, right, alpha, rng):
     """sup_k k^alpha gamma_k and sup_k k^alpha sigma_k (plus the base norm)
     for 2*1_left + 1_right, via corner/sampled tie choices for gamma and a
-    split grid of structured kept-sets for sigma."""
+    split grid of structured kept-sets for sigma.
+
+    Every candidate residual is a boolean row over left + right, and the rows
+    go through one batch evaluator in one norms call (`_residual_norms`)."""
     pn, qn = len(left), len(right)
     n = pn + qn
+    rows = []
 
-    def res_norm(keep_left, keep_right):
-        idx = left[keep_left[0] : keep_left[1]] if isinstance(keep_left, tuple) else keep_left
-        entries = {i: 2.0 for i in idx}
-        entries.update({i: 1.0 for i in right[: qn - keep_right]})
-        if not entries:
-            return 0.0
-        return ambient_norm(spec, Sequence(entries, spec.universe))
+    def res_row(keep_left, keep_right):
+        """Row id of the residual: left[lo:hi] (or the left positions not in
+        a set) with coefficient 2, and right[: qn - keep_right] with 1."""
+        row = np.zeros(n, dtype=bool)
+        if isinstance(keep_left, tuple):
+            row[keep_left[0] : keep_left[1]] = True
+        else:
+            row[:pn] = True
+            row[list(keep_left)] = False
+        row[pn : n - keep_right] = True
+        rows.append(row)
+        return len(rows) - 1
 
-    full = res_norm((0, pn), 0)
+    full = res_row((0, pn), 0)
     ks = sorted(set(np.unique(np.round(np.geomspace(1, n, TWO_BLOCK_GRID))).astype(int).tolist())
                 | {pn, qn, n})
-    g_sup = a_sup = 0.0
+    steps = []  # (k, gamma candidate rows, sigma candidate rows)
     for k in ks:
         if k > n:
             continue
         if k <= pn:
-            cands = [(k, pn), (0, pn - k)]
+            cands = [res_row((k, pn), 0), res_row((0, pn - k), 0)]
             for _ in range(TWO_BLOCK_SAMPLES):
-                kept = set(rng.choice(pn, size=k, replace=False).tolist())
-                cands.append([left[i] for i in range(pn) if i not in kept])
-            vals = [res_norm(c, 0) for c in cands]
-            g_k = max(vals)
-            s_k = min(vals)
+                cands.append(res_row(rng.choice(pn, size=k, replace=False), 0))
         else:
-            v = res_norm((0, 0), k - pn)
-            g_k = s_k = v
+            cands = [res_row((0, 0), k - pn)]
+        split = []
         for j in np.unique(np.round(np.linspace(max(0, k - qn), min(k, pn), 10)).astype(int)):
             m = k - j
-            s_k = min(s_k, res_norm((j, pn), m), res_norm((0, pn - j), m))
-        g_sup = max(g_sup, k**alpha * g_k)
-        a_sup = max(a_sup, k**alpha * s_k)
-    return full + g_sup, full + a_sup
+            split += [res_row((j, pn), m), res_row((0, pn - j), m)]
+        steps.append((k, cands, cands + split))
+    coef = [2.0] * pn + [1.0] * qn
+    vals = _residual_norms(spec, left + right, coef, np.array(rows)).tolist()
+    g_sup = a_sup = 0.0
+    for k, cands, both in steps:
+        g_sup = max(g_sup, k**alpha * max(vals[i] for i in cands))
+        a_sup = max(a_sup, k**alpha * min(vals[i] for i in both))
+    return vals[full] + g_sup, vals[full] + a_sup
+
+
+def _residual_norms(spec, indices, coef, rows):
+    """ambient_norm of each row's residual sum(coef[c] e_c / ||e_c||, c in
+    row), 0.0 for an empty row.
+
+    The rows go through one batch evaluator over the indices, in one norms
+    call; the values agree with the scalar ambient_norm of each residual to
+    rel 1e-12 (tests/test_experiments.py). A support past WITNESS_BATCH_MAX
+    columns, or one whose batch evaluator raises NumericError (inner sums out
+    of linear float range, as in a tower hundreds of levels deep) or
+    FeasibilityError (an incidence past its cap), takes the scalar
+    ambient_norm of each row instead, entries in column order."""
+    out = np.zeros(len(rows))
+    busy = rows.any(axis=1)
+    if len(indices) <= WITNESS_BATCH_MAX:
+        try:
+            raw = [c / element_norm(spec, i) for i, c in zip(indices, coef)]
+            out[busy] = batch_evaluator(spec, indices, raw).norms(rows[busy])
+            return out
+        except (NumericError, FeasibilityError):
+            pass
+    for r in np.flatnonzero(busy):
+        entries = {indices[c]: coef[c] for c in np.flatnonzero(rows[r])}
+        out[r] = ambient_norm(spec, Sequence(entries, spec.universe))
+    return out
 
 
 # ---------------------------------------------------------------------------
 # two-stream non-linearity construction
 # ---------------------------------------------------------------------------
-
-def _exact_count_below(target, beta_num, hi):
-    """Largest k <= hi with k^beta_num <= target, in exact integer arithmetic.
-
-    Callers pre-raise both sides to a common denominator so that the fractional
-    power comparison k^beta <= j^gamma becomes integral."""
-    lo, hi_k = 0, hi
-    while lo < hi_k:
-        mid = (lo + hi_k + 1) // 2
-        if mid**beta_num <= target:
-            lo = mid
-        else:
-            hi_k = mid - 1
-    return lo
-
 
 @dataclass
 class StreamTail:
@@ -424,10 +449,17 @@ def nonlinearity_demo(p, q, alpha, K):
             f"exact block counts compare {bn * K.bit_length()}-bit integers (cap "
             f"{EXACT_COUNT_BITS}); give alpha, p and q with fewer decimal digits"
         )
+    # cutoff j is the largest k <= K with k^bn <= j^gn: step from the float
+    # estimate j^(gn/bn) to the exact integer, in either direction
     cutoffs = [0]
     j = 1
     while True:
-        c = _exact_count_below(j**gn, bn, K)
+        target = j**gn
+        c = min(K, int(math.exp(gn / bn * math.log(j))))
+        while c > 0 and c**bn > target:
+            c -= 1
+        while c < K and (c + 1) ** bn <= target:
+            c += 1
         if c >= K:
             break
         cutoffs.append(c)

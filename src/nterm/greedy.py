@@ -12,23 +12,32 @@ holds the N-th largest magnitude, m = N - a. A family of at most
 TIE_FAMILY_CAP sets is listed in combination order. A larger one is sampled
 and flagged: the two corner picks plus up to TIE_FAMILY_CAP distinct sorted
 picks of Generator.choice(t, m, replace=False), t = b - a, from the context's
-default_rng(0), with sampled steps drawn in increasing N. The draws are not
-made one call at a time. Each batch of up to _PICK_ROWS calls is one draw of
-the bounded integers the calls consume (Floyd's j = t-m..t-1, then the shuffle's
-i = m-1..1), followed by Floyd's insertion over a (rows x t) membership
-matrix; the shuffle draws only keep the stream aligned, since the set does not
-depend on their order. For t <= 10,000, where numpy's choice takes Floyd's
-branch, the picks, their set iteration order and the rng state after each
-step equal those of the per-call loop, so a sequence always gets the same
-picks.
+default_rng(0), with sampled steps drawn in increasing N, in first-draw order.
+The draws are not made one call at a time. Each batch of PICK_FLOATS // t
+calls is one draw of the bounded integers the calls consume (Floyd's
+j = t-m..t-1, then the shuffle's i = m-1..1), followed by Floyd's insertion
+over a (rows x t) boolean membership matrix; the shuffle draws only keep the
+stream aligned, since the set does not depend on their order. The rows are
+deduplicated on their packed bits by np.unique, first occurrences kept. For
+t <= 10,000, where numpy's choice takes Floyd's branch, the picks and the rng
+state after each step equal those of the per-call loop, whatever the batch
+size, so a sequence always gets the same picks.
 
-A profile stacks every step's residual masks in step order and evaluates them
-through BatchNorm.norms in blocks of at most MASK_CHUNK rows, never splitting
-a family, then reduces each step by max (gamma) or min (the sigma bound).
-Stacking changes the matmul shapes of the square-function and bmo evaluators,
-so their values agree with a per-step evaluation of the same family to rel
-1e-15. The additive l^p and l^p(+)l^q rows do not depend on the batch shape
-and agree bitwise.
+A profile builds its residual masks one tie class at a time and stacks them
+in step order into blocks of at most MASK_CHUNK rows, never splitting a step;
+each block is one BatchNorm.norms call, reduced per step by max (gamma) or min
+(the sigma bound). A step whose family is the one set [0, N) (N = 0, a
+singleton class, the last step of a class, every l^p step) is the row
+cols >= N, and a run of them is one staircase. A class of t <= CODE_BITS
+positions takes the rows of its listed steps from the t-bit residual codes in
+ascending order, grouped by popcount (`_residual_codes`), which is the
+combination order of the kept sets; every step of a class of at most 15 is
+listed. Larger classes list their listed steps by itertools.combinations.
+Steps past TIE_FAMILY_CAP are sampled, and l^p(+)l^q steps take the
+per-component-count representatives. Stacking changes the matmul shapes of the
+square-function and bmo evaluators, so their values agree with a per-step
+evaluation of the same family to rel 1e-15. The additive l^p and l^p(+)l^q
+rows do not depend on the batch shape and agree bitwise.
 """
 from __future__ import annotations
 
@@ -49,8 +58,11 @@ from .weights import Weight
 TIE_FAMILY_CAP = 10_000
 SUBSET_CAP = 2_000_000
 METHODS = ("auto", "exact", "greedy")
-# sampled picks drawn, and converted to Python tuples, this many at a time
-_PICK_ROWS = 1 << 10
+# entries of a sampler batch's (rows x t) membership matrix
+PICK_FLOATS = 1 << 16
+# tie classes of at most this many positions take their listed steps' rows
+# from the 2^t residual codes
+CODE_BITS = 16
 
 
 class _Context:
@@ -84,26 +96,18 @@ class _Context:
         """(a, b): positions a..b-1 hold the N-th largest magnitude, 0 < N < n."""
         return int(self._tie_lo[N - 1]), int(self._tie_hi[N - 1])
 
-    def greedy_representatives(self, N):
-        """Tie family reduced by norm-equivalence where the space is invariant
-        under index permutations: any tie choice for l^p, per-component-count
-        representatives for the direct sum. Falls back to the full family."""
-        if N <= 0 or N >= self.n:
-            return self.greedy_kept(N)
-        if self.spec.tag == "lp":
-            return np.arange(N)[None, :], True
-        if self.spec.tag == "lplq":
-            a, b = self._tie_class(N)
-            comp = np.array([self.indices[i].component for i in range(a, b)])
-            ties_a = a + np.flatnonzero(comp == 0)
-            ties_b = a + np.flatnonzero(comp == 1)
-            m = N - a
-            fam = [
-                np.concatenate((np.arange(a), ties_a[:j], ties_b[: m - j]))
-                for j in range(max(0, m - len(ties_b)), min(m, len(ties_a)) + 1)
-            ]
-            return np.array(fam), True
-        return self.greedy_kept(N)
+    def _direct_sum_kept(self, N):
+        """Step N's tie family reduced by norm-equivalence in l^p(+)l^q: one
+        kept set per count of first-component ties, 0 < N < n."""
+        a, b = self._tie_class(N)
+        comp = np.array([self.indices[i].component for i in range(a, b)])
+        ties_a = a + np.flatnonzero(comp == 0)
+        ties_b = a + np.flatnonzero(comp == 1)
+        m = N - a
+        return np.array([
+            np.concatenate((np.arange(a), ties_a[:j], ties_b[: m - j]))
+            for j in range(max(0, m - len(ties_b)), min(m, len(ties_a)) + 1)
+        ])
 
     def greedy_kept(self, N):
         """Admissible kept position-sets of size N (first N of some
@@ -119,35 +123,57 @@ class _Context:
         count = math.comb(t, m)
         if count <= TIE_FAMILY_CAP:
             combos = chain.from_iterable(combinations(range(a, b), m))
-            ties = np.fromiter(combos, np.intp, count * m).reshape(count, m)
+            kept = np.empty((count, N), dtype=np.intp)
+            kept[:, a:] = np.fromiter(combos, np.intp, count * m).reshape(count, m)
         else:
-            ties = self._sampled_ties(a, b, m)
-        kept = np.empty((len(ties), N), dtype=np.intp)
+            member = self._sampled_ties(a, b, m)
+            kept = np.empty((len(member), N), dtype=np.intp)
+            # positions of the members, PICK_FLOATS // t rows at a time
+            pos, step = np.broadcast_to(np.arange(a, b), member.shape), _pick_rows(t)
+            for i in range(0, len(member), step):
+                kept[i : i + step, a:] = pos[i : i + step][member[i : i + step]].reshape(-1, m)
         kept[:, :a] = np.arange(a)
-        kept[:, a:] = ties
         return kept, count <= TIE_FAMILY_CAP
 
     def _sampled_ties(self, a, b, m):
         """The sampled m-subsets of the tie class a..b-1 (module docstring) as
-        int32 rows in the iteration order of their dedupe set. Floyd rows are
-        drawn in batches and added to the corner-seeded set in draw order until
-        it holds TIE_FAMILY_CAP picks or TIE_FAMILY_CAP rows are drawn. A batch
-        never has more rows than the set can still take, so it can fill the set
-        only on its last row and the rng ends where the per-call loop leaves
-        it. The set goes on return, before the caller builds the kept rows."""
+        boolean membership rows over the class, in first-draw order, the two
+        corners first. Floyd rows are drawn in batches and deduplicated with
+        the rows kept so far until TIE_FAMILY_CAP picks are kept or
+        TIE_FAMILY_CAP rows are drawn. A batch never has more rows than the
+        picks can still grow by, so it can fill them only on its last row and
+        the rng ends where the per-call loop leaves it."""
         t = b - a
-        seen = {tuple(range(a, a + m)), tuple(range(b - m, b))}
+        member = np.zeros((2, t), dtype=bool)
+        member[0, :m] = member[1, t - m :] = True
         drawn = 0
-        while drawn < TIE_FAMILY_CAP and len(seen) < TIE_FAMILY_CAP:
-            rows = min(_PICK_ROWS, TIE_FAMILY_CAP - drawn, TIE_FAMILY_CAP - len(seen))
-            seen.update(zip(*(_floyd_picks(self.rng, t, m, rows) + a).T.tolist()))
+        while drawn < TIE_FAMILY_CAP and len(member) < TIE_FAMILY_CAP:
+            rows = min(_pick_rows(t), TIE_FAMILY_CAP - drawn, TIE_FAMILY_CAP - len(member))
+            member = _first_rows(np.concatenate((member, _floyd_picks(self.rng, t, m, rows))))
             drawn += rows
-        return np.fromiter(chain.from_iterable(seen), np.int32, len(seen) * m).reshape(-1, m)
+        return member
+
+
+def _pick_rows(t):
+    return max(1, PICK_FLOATS // t)
+
+
+def _first_rows(member):
+    """The distinct rows of a boolean matrix in order of first occurrence,
+    compared on their packed bits (one uint64 key per row up to 64 columns)."""
+    packed = np.packbits(member, axis=1)
+    width = -(-packed.shape[1] // 8) * 8
+    keys = np.zeros((len(member), width), dtype=np.uint8)
+    keys[:, : packed.shape[1]] = packed
+    keys = keys.view(np.uint64 if width == 8 else np.dtype((np.void, width))).ravel()
+    first = np.unique(keys, return_index=True)[1]
+    return member[np.sort(first)]
 
 
 def _floyd_picks(rng, t, m, rows):
-    """The sorted picks of `rows` calls of rng.choice(t, m, replace=False) as
-    an int array, one call per row, from one draw of the same stream.
+    """The picks of `rows` calls of rng.choice(t, m, replace=False) as the
+    rows of a boolean (rows x t) membership matrix, one call per row, from one
+    draw of the same stream.
 
     Floyd's algorithm inserts, at step j, the draw v in 0..j, or j itself when
     v is already in the set. That is the branch numpy takes for t <= 10,000
@@ -162,39 +188,110 @@ def _floyd_picks(rng, t, m, rows):
     for k, j in enumerate(range(t - m, t)):
         v = row + draws[:, k]
         flat[np.where(flat[v], row + j, v)] = True
-    return np.nonzero(member)[1].reshape(rows, m)
+    return member
 
 
-def _greedy_extrema(ctx, Ns):
-    """Max and min residual norm over the greedy family of each step in Ns
-    (greedy_representatives), with the families' exactness flags.
+def _residual_codes(t):
+    """All t-bit residual codes (position j at bit t-1-j) grouped by falling
+    popcount, ascending within a group, and the group starts: group m,
+    codes[starts[m]:starts[m+1]], holds the residuals of the m-subsets, in
+    the combination order of the kept sets."""
+    popcount = np.bitwise_count(np.arange(1 << t, dtype=np.uint32))
+    codes = np.argsort(~popcount, kind="stable").astype(np.uint32)
+    starts = np.cumsum(np.bincount(popcount, minlength=t + 1)[::-1])
+    bits = (1 << np.arange(t - 1, -1, -1)).astype(np.uint32)
+    return codes, np.concatenate(([0], starts)).tolist(), bits
 
-    Each step gives one run of residual-mask rows. Runs are stacked in step
-    order into blocks of at most MASK_CHUNK rows, never splitting a run, and
-    each block is evaluated by one BatchNorm.norms call."""
-    hi, lo = np.zeros(len(Ns)), np.zeros(len(Ns))
-    exact = np.ones(len(Ns), dtype=bool)
-    if ctx.n == 0:
+
+class _Blocks:
+    """Residual rows of consecutive steps, stacked in step order into blocks
+    of at most MASK_CHUNK rows without splitting a step. Each block is one
+    norms call, reduced per step into hi (max) and lo (min).
+
+    A block is a list of pieces [kind, key, i, j], each over consecutive
+    steps: a staircase of steps i..j-1 ("stair"), the code groups i..j-1 of
+    one class ("codes", key (a, b, codes, starts, bits)), or one step's mask
+    rows ("masks", key the rows)."""
+
+    def __init__(self, ev, hi, lo):
+        self.ev, self.hi, self.lo = ev, hi, lo
+        self.cols = np.arange(ev.n)
+        self.pieces, self.counts, self.rows, self.first = [], [], 0, 0
+
+    def add(self, count, kind, key=None, i=0):
+        """Append the next step: `count` rows, step or group i of a piece."""
+        if self.rows + count > MASK_CHUNK and self.counts:
+            self.flush()
+        self.counts.append(count)
+        self.rows += count
+        last = self.pieces[-1] if self.pieces else None
+        if kind != "masks" and last and last[0] == kind and last[1] is key:
+            last[3] += 1
+        else:
+            self.pieces.append([kind, key, i, i + 1])
+
+    def add_masks(self, masks):
+        self.add(len(masks), "masks", masks)
+
+    def flush(self):
+        block = np.empty((self.rows, self.ev.n), dtype=bool)
+        r = 0
+        for kind, key, i, j in self.pieces:
+            if kind == "stair":
+                out = block[r : r + j - i]
+                np.greater_equal(self.cols, np.arange(i, j)[:, None], out=out)
+            elif kind == "codes":
+                a, b, codes, starts, bits = key
+                rows = codes[starts[i] : starts[j], None]
+                out = block[r : r + len(rows)]
+                out[:, :a] = False
+                out[:, b:] = True
+                np.not_equal(rows & bits, 0, out=out[:, a:b])
+            else:
+                out = block[r : r + len(key)]
+                out[:] = key
+            r += len(out)
+        vals = self.ev.norms(block)
+        starts = np.cumsum([0] + self.counts[:-1])
+        steps = slice(self.first, self.first + len(self.counts))
+        np.maximum.reduceat(vals, starts, out=self.hi[steps])
+        np.minimum.reduceat(vals, starts, out=self.lo[steps])
+        self.first += len(self.counts)
+        self.pieces, self.counts, self.rows = [], [], 0
+
+
+def _greedy_extrema(ctx):
+    """Max and min residual norm over the greedy family of each step
+    N = 0..n-1, with the families' exactness flags (module docstring)."""
+    n = ctx.n
+    hi, lo = np.zeros(n), np.zeros(n)
+    exact = np.ones(n, dtype=bool)
+    if n == 0:
         return hi, lo, exact
-    ev, runs, first = ctx.evaluator, [], 0
-    for i, N in enumerate(Ns):
-        kept, exact[i] = ctx.greedy_representatives(N)
-        masks = ev.subset_masks(kept, complement=True)
-        if runs and sum(map(len, runs)) + len(masks) > MASK_CHUNK:
-            _reduce_runs(ev, runs, hi[first:i], lo[first:i])
-            runs, first = [], i
-        runs.append(masks)
-    _reduce_runs(ev, runs, hi[first:], lo[first:])
+    ev = ctx.evaluator
+    blocks, classes = _Blocks(ev, hi, lo), {}
+    for N in range(n):
+        a, b = ctx._tie_class(N) if N else (0, 0)
+        t, m = b - a, N - a
+        if N == b or ctx.spec.tag == "lp":
+            blocks.add(1, "stair", None, N)
+        elif ctx.spec.tag == "lplq":
+            blocks.add_masks(ev.subset_masks(ctx._direct_sum_kept(N), complement=True))
+        elif t <= CODE_BITS and math.comb(t, m) <= TIE_FAMILY_CAP:
+            if (a, b) not in classes:
+                classes[a, b] = (a, b) + _residual_codes(t)
+            blocks.add(math.comb(t, m), "codes", classes[a, b], m)
+        elif math.comb(t, m) <= TIE_FAMILY_CAP:
+            blocks.add_masks(ev.subset_masks(ctx.greedy_kept(N)[0], complement=True))
+        else:
+            member = ctx._sampled_ties(a, b, m)
+            masks = np.ones((len(member), n), dtype=bool)
+            masks[:, :a] = False
+            np.logical_not(member, out=masks[:, a:b])
+            blocks.add_masks(masks)
+            exact[N] = False
+    blocks.flush()
     return hi, lo, exact
-
-
-def _reduce_runs(ev, runs, hi, lo):
-    """Evaluate the stacked runs in one norms call and write each run's max
-    and min into hi and lo."""
-    vals = ev.norms(np.concatenate(runs))
-    starts = np.cumsum([0] + [len(run) for run in runs[:-1]])
-    np.maximum.reduceat(vals, starts, out=hi)
-    np.minimum.reduceat(vals, starts, out=lo)
 
 
 def sigma_n_exact(seq, N, spec, ctx=None):
@@ -228,22 +325,20 @@ def _sigma_all(ctx):
     """sigma_0 .. sigma_n: the norm of every residual mask, least per popcount.
 
     l^p reads the residuals' p-th power sums off the subset-sum table. Other
-    spaces evaluate one popcount class at a time in blocks of MASK_CHUNK; with
-    position c at bit n-1-c, ascending residual masks follow the kept sets in
-    combination order, so each block is a block of sigma_n_exact's scan and the
-    norms agree bitwise (a block that mixes popcounts moves rows, which can move
-    a matmul result by an ulp)."""
+    spaces evaluate one popcount class at a time in blocks of MASK_CHUNK; the
+    residual codes of `_residual_codes` follow the kept sets in combination
+    order, so each block is a block of sigma_n_exact's scan and the norms agree
+    bitwise (a block that mixes popcounts moves rows, which can move a matmul
+    result by an ulp)."""
     n = ctx.n
     if ctx.spec.tag == "lp":
         resid = _kernels.subset_sums(ctx.mags**ctx.spec.p)
     else:
         ev = ctx.evaluator
         resid = np.zeros(1 << n)
-        masks = np.arange(1 << n, dtype=np.uint32)
-        popcount = np.bitwise_count(masks)
-        bits = (1 << np.arange(n - 1, -1, -1)).astype(np.uint32)
-        for k in range(1, n + 1):
-            cls = masks[popcount == k]
+        codes, starts, bits = _residual_codes(n)
+        for N in range(n):  # residual popcount n - N
+            cls = codes[starts[N] : starts[N + 1]]
             for start in range(0, len(cls), MASK_CHUNK):
                 block = cls[start : start + MASK_CHUNK]
                 resid[block] = ev.norms((block[:, None] & bits) != 0)
@@ -279,7 +374,7 @@ def sigma_profile(seq, spec, method="auto"):
     if n and (method == "exact" or (method == "auto" and 2**n <= 2 * SUBSET_CAP)):
         vals[:n] = _sigma_all(ctx)[:n]
     else:
-        _, vals[:n], exact = _greedy_extrema(ctx, range(n))
+        _, vals[:n], exact = _greedy_extrema(ctx)
         flags[:n] = ["greedy" if e else "sampled" for e in exact]
     return Profile("sigma", spec.label(), vals, flags)
 
@@ -289,7 +384,7 @@ def gamma_profile(seq, spec):
     ctx = _Context(seq, spec)
     n = ctx.n
     vals = np.zeros(n + 1)
-    vals[:n], _, exact = _greedy_extrema(ctx, range(n))
+    vals[:n], _, exact = _greedy_extrema(ctx)
     flags = ["exact" if e else "sampled" for e in exact] + ["exact"]
     return Profile("gamma", spec.label(), vals, flags)
 

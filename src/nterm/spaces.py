@@ -145,7 +145,10 @@ SPACE_TAGS = {
 @dataclass(frozen=True)
 class SpaceSpec:
     """A space as a value: equal specs hash alike, so a spec is its own cache
-    key. Only the parameters SPACE_TAGS names for the tag are read."""
+    key. Only the parameters SPACE_TAGS names for the tag are read.
+
+    The hash of the seven fields is taken once, in __post_init__, since every
+    element_norm lookup hashes the spec; equality compares the fields."""
 
     tag: str
     p: float = 0.0
@@ -154,6 +157,7 @@ class SpaceSpec:
     s: float = 0.0
     d: int = 1
     orlicz: OrliczFunction | None = None
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.tag not in SPACE_TAGS:
@@ -163,6 +167,16 @@ class SpaceSpec:
                 raise ParseError(f"{self.tag}: exponent {name} must be in (0, inf)")
         if self.d < 1:
             raise ParseError("dimension must be >= 1")
+        fields = (self.tag, self.p, self.q, self.r, self.s, self.d, self.orlicz)
+        object.__setattr__(self, "_hash", hash(fields))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt through __init__, so the hash is taken again where the spec
+        # is loaded (string hashes differ between interpreters)
+        return SpaceSpec, (self.tag, self.p, self.q, self.r, self.s, self.d, self.orlicz)
 
     @property
     def exponents(self):

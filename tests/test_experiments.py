@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from nterm.errors import FeasibilityError, ParseError
+from nterm import experiments
+from nterm.batch import batch_evaluator
+from nterm.democracy import structured_family
+from nterm.errors import FeasibilityError, NumericError, ParseError
 from nterm.experiments import (
     attach,
     bernstein_verifier,
@@ -20,7 +23,7 @@ from nterm.experiments import (
 )
 from nterm.indices import Pair
 from nterm.sequences import Sequence
-from nterm.spaces import parse_space
+from nterm.spaces import ambient_norm, parse_space
 from nterm.weights import Weight
 
 L2 = parse_space("lp:2")
@@ -260,6 +263,104 @@ def test_prop71_bmo_log_gap_schedule():
     assert ratios[-1] > ratios[0]
 
 
+def _witness_blocks(spec, schedule, N):
+    """The (left, right) blocks prop71_witness builds at N."""
+    p_N, q_N = schedule(N)
+    fam_l, fam_r = experiments._extremal_families(spec, p_N, q_N)
+    return experiments._shifted_family(spec, p_N, fam_l), structured_family(spec, q_N, fam_r)
+
+
+def _scalar_residual(spec, left, right, keep_left, keep_right):
+    """One candidate's scalar norm as the witness took it before it batched
+    its rows: left[lo:hi] (or the listed left indices) with coefficient 2,
+    then right[: len(right) - keep_right] with 1."""
+    idx = left[keep_left[0] : keep_left[1]] if isinstance(keep_left, tuple) else keep_left
+    entries = {i: 2.0 for i in idx}
+    entries.update({i: 1.0 for i in right[: len(right) - keep_right]})
+    return ambient_norm(spec, Sequence(entries, spec.universe)) if entries else 0.0
+
+
+def _scalar_two_block_norms(spec, left, right, alpha, rng):
+    """The two-block witness norms, one scalar ambient_norm per candidate,
+    with the same rng.choice calls in the same order."""
+    pn, qn = len(left), len(right)
+    n = pn + qn
+
+    def res_norm(keep_left, keep_right):
+        return _scalar_residual(spec, left, right, keep_left, keep_right)
+
+    full = res_norm((0, pn), 0)
+    ks = sorted(set(np.unique(np.round(np.geomspace(1, n, experiments.TWO_BLOCK_GRID)))
+                    .astype(int).tolist()) | {pn, qn, n})
+    g_sup = a_sup = 0.0
+    for k in ks:
+        if k <= pn:
+            cands = [(k, pn), (0, pn - k)]
+            for _ in range(experiments.TWO_BLOCK_SAMPLES):
+                kept = set(rng.choice(pn, size=k, replace=False).tolist())
+                cands.append([left[i] for i in range(pn) if i not in kept])
+            vals = [res_norm(c, 0) for c in cands]
+            g_k, s_k = max(vals), min(vals)
+        else:
+            g_k = s_k = res_norm((0, 0), k - pn)
+        for j in np.unique(np.round(np.linspace(max(0, k - qn), min(k, pn), 10)).astype(int)):
+            s_k = min(s_k, res_norm((j, pn), k - j), res_norm((0, pn - j), k - j))
+        g_sup = max(g_sup, k**alpha * g_k)
+        a_sup = max(a_sup, k**alpha * s_k)
+    return full + g_sup, full + a_sup
+
+
+@pytest.mark.parametrize("label,alpha,schedule,Ns", [
+    ("lpq:1.2,6", 0.4, cor72_schedule(2, 1), (2, 3, 4, 5, 6)),  # the README's cor72 run
+    ("bmo:2", 0.3, cor73_schedule(1, 1), (2, 3, 4)),
+])
+def test_batched_two_block_norms_match_the_scalar_path(label, alpha, schedule, Ns):
+    # one batch evaluator per N against one scalar ambient_norm per candidate:
+    # within rel 1e-12, the batch-vs-scalar tolerance (at most 5e-16 was seen),
+    # from the same rng draws
+    spec = parse_space(label)
+    for N in Ns:
+        left, right = _witness_blocks(spec, schedule, N)
+        rng, ref = np.random.default_rng(N), np.random.default_rng(N)
+        got = experiments._two_block_norms(spec, left, right, alpha, rng)
+        want = _scalar_two_block_norms(spec, left, right, alpha, ref)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0), N
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_two_block_rows_of_a_deep_tower_take_the_scalar_path(monkeypatch):
+    # at N = 30 the cor72 left block is a tower of 900 levels: its batch inner
+    # sums overflow, batch_evaluator raises NumericError, and the rows go
+    # through the scalar ambient_norm, reproducing the per-candidate values
+    spec = parse_space("lpq:1.2,6")
+    left, right = _witness_blocks(spec, cor72_schedule(2, 1), 30)
+    pn, qn = len(left), len(right)
+    raised = []
+
+    def spy(*args):
+        try:
+            return batch_evaluator(*args)
+        except NumericError as exc:
+            raised.append(exc)
+            raise
+
+    monkeypatch.setattr(experiments, "batch_evaluator", spy)
+    picks = np.random.default_rng(0).choice(pn, size=400, replace=False)
+    cands = [((0, pn), 0), ((450, pn), 7), ((0, pn - 120), 29), ((0, 0), 12), ((pn, pn), qn),
+             ([left[i] for i in range(pn) if i not in set(picks.tolist())], 3)]
+    rows = np.zeros((len(cands), pn + qn), dtype=bool)
+    for row, (keep_left, keep_right) in zip(rows, cands):
+        if isinstance(keep_left, tuple):
+            row[keep_left[0] : keep_left[1]] = True
+        else:
+            row[:pn] = True
+            row[picks] = False
+        row[pn : pn + qn - keep_right] = True
+    got = experiments._residual_norms(spec, left + right, [2.0] * pn + [1.0] * qn, rows)
+    assert len(raised) == 1
+    assert got.tolist() == [_scalar_residual(spec, left, right, *c) for c in cands]
+
+
 def test_canonical_indices_universe_error():
     with pytest.raises(FeasibilityError):
         canonical_indices(parse_space("bmo:2"), 10**6)
@@ -298,6 +399,38 @@ def test_embedding_bmo_into_classical_lorentz():
     seqs = standard_test_set(bmo, 24, seed=2, critical=1.0)
     res = embedding_verifier("A-into-lorentz", bmo, w, 0.5, 2.0, seqs)
     assert res["constant"] < 20.0
+
+
+def _cutoffs_by_bisection(p, q, alpha, K):
+    """Block cutoffs c_j = max{k <= K : k^beta <= j^gamma}, j = 1.. while
+    c_j < K, each by its own binary search over exact integers."""
+    from fractions import Fraction
+
+    alpha_f, p_f, q_f = (Fraction(repr(float(x))) for x in (alpha, p, q))
+    beta, gamma = alpha_f + 1 / p_f, alpha_f + 1 / q_f
+    L = math.lcm(beta.denominator, gamma.denominator)
+    bn, gn = beta.numerator * (L // beta.denominator), gamma.numerator * (L // gamma.denominator)
+    cutoffs = [0]
+    while True:
+        target, lo, hi = len(cutoffs) ** gn, 0, K
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            lo, hi = (mid, hi) if mid**bn <= target else (lo, mid - 1)
+        if lo >= K:
+            return cutoffs
+        cutoffs.append(lo)
+
+
+@pytest.mark.parametrize("p,q,alpha,K", [(2.0, 1.0, 1.0, 50_000), (3.0, 1.5, 0.3, 20_000),
+                                         (2.5, 1.25, 0.35, 30_000), (10.0, 1.0, 0.1, 20_000)])
+def test_nonlinearity_cutoffs_match_bisection(p, q, alpha, K):
+    # the block grid's abscissae N_J = c_J + J and J_max against the cutoffs
+    # found one binary search per block
+    res = nonlinearity_demo(p, q, alpha, K)
+    cutoffs = _cutoffs_by_bisection(p, q, alpha, K)
+    assert res["J_max"] == len(cutoffs) - 1
+    Js = np.unique(np.round(np.geomspace(2, res["J_max"], experiments.RATE_GRID)).astype(int))
+    assert [N for N, _ in res["points_sum"]] == [cutoffs[J] + J for J in Js.tolist()]
 
 
 def test_nonlinearity_small_K_flags_insufficient():

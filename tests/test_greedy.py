@@ -30,7 +30,8 @@ L2 = parse_space("lp:2")
 
 def _oracle_kept(ctx, N, rng):
     """Kept position-sets of size N as tuples, listed in combination order, or
-    past TIE_FAMILY_CAP sampled from the tie list with list-population draws."""
+    past TIE_FAMILY_CAP sampled from the tie list with list-population draws,
+    distinct picks in first-draw order, the two corners first."""
     if N <= 0:
         return [()], True
     if N >= ctx.n:
@@ -41,9 +42,9 @@ def _oracle_kept(ctx, N, rng):
     m = N - len(strict)
     if math.comb(len(ties), m) <= greedy.TIE_FAMILY_CAP:
         return [tuple(strict) + c for c in itertools.combinations(ties, m)], True
-    picks = {tuple(ties[:m]), tuple(ties[-m:])}
+    picks = dict.fromkeys((tuple(ties[:m]), tuple(ties[-m:])))
     for _ in range(greedy.TIE_FAMILY_CAP):
-        picks.add(tuple(sorted(rng.choice(ties, size=m, replace=False))))
+        picks.setdefault(tuple(sorted(rng.choice(ties, size=m, replace=False))))
         if len(picks) >= greedy.TIE_FAMILY_CAP:
             break
     return [tuple(strict) + c for c in picks], False
@@ -219,26 +220,21 @@ def test_floyd_picks_replay_choice(t, m):
     rng.integers(0, 7, dtype=np.int32)
     ref.integers(0, 7, dtype=np.int32)
     assert rng.bit_generator.state["has_uint32"] == 1
-    got = greedy._floyd_picks(rng, t, m, 5)
+    got = np.nonzero(greedy._floyd_picks(rng, t, m, 5))[1].reshape(5, m)
     want = [sorted(ref.choice(t, m, replace=False).tolist()) for _ in range(5)]
     assert got.tolist() == want
     assert rng.bit_generator.state == ref.bit_generator.state
 
 
-def test_sampled_step_memory_is_bounded_by_its_rows():
-    # one sampled step (class of 16 after a prefix of 3, m = 7..9) and its
-    # residual masks hold at most TIE_FAMILY_CAP kept rows of n intp and as many
-    # mask rows of n bools. The Floyd draws, membership rows and Python picks
-    # live one batch at a time, and the dedupe set (one tuple of m ints per
-    # pick) is freed before the kept rows are built
-    seq = Sequence({k: 2.0 if k <= 3 else 1.0 for k in range(1, 20)})
+def _sampled_step_peaks(seq, Ns, warm):
+    """tracemalloc peak of each sampled step N in Ns (greedy_kept, then its
+    residual masks), after the steps in warm have drawn their picks."""
     ctx = _Context(seq, L1)
-    n, ev = ctx.n, ctx.evaluator
-    bound = greedy.TIE_FAMILY_CAP * n * 8 + greedy.TIE_FAMILY_CAP * n
-    for N in range(10):
+    ev = ctx.evaluator
+    for N in warm:
         ctx.greedy_kept(N)
     peaks = []
-    for N in (10, 11, 12):
+    for N in Ns:
         tracemalloc.start()
         try:
             kept, exact = ctx.greedy_kept(N)
@@ -247,7 +243,116 @@ def test_sampled_step_memory_is_bounded_by_its_rows():
         finally:
             tracemalloc.stop()
         assert not exact
+    return peaks
+
+
+def test_sampled_step_memory_is_bounded_by_its_rows():
+    # one sampled step (class of 16 after a prefix of 3, m = 7..9) and its
+    # residual masks hold at most TIE_FAMILY_CAP kept rows of n intp and as many
+    # mask rows of n bools. The Floyd draws live one batch at a time, the
+    # membership rows take t bools per pick, and the kept rows are filled from
+    # them PICK_FLOATS // t rows at a time
+    seq = Sequence({k: 2.0 if k <= 3 else 1.0 for k in range(1, 20)})
+    n = 19
+    bound = greedy.TIE_FAMILY_CAP * n * 8 + greedy.TIE_FAMILY_CAP * n
+    peaks = _sampled_step_peaks(seq, (10, 11, 12), range(10))
     assert max(peaks) < bound, ([p / 2**20 for p in peaks], bound / 2**20)
+
+
+def test_sampled_step_memory_on_an_all_ones_class_of_63():
+    # m = 50 of a class of 63 at offset 0: the kept rows are nearly as wide as
+    # the support, so the sampler's own rows (63 bools per pick) and the
+    # dedupe keys must stay small beside them
+    seq = Sequence({k: 1.0 for k in range(1, 64)})
+    n = 63
+    bound = greedy.TIE_FAMILY_CAP * n * 8 + greedy.TIE_FAMILY_CAP * n
+    peak, = _sampled_step_peaks(seq, (50,), ())
+    assert peak < bound, (peak / 2**20, bound / 2**20)
+
+
+@pytest.mark.parametrize("sizes,Ns", [((3, 16), (10, 11, 12)), ((30,), (14, 15, 16)),
+                                      ((63,), (3, 60))])
+def test_sampled_picks_do_not_depend_on_the_row_budget(monkeypatch, sizes, Ns):
+    # a batch of Floyd rows never holds more rows than the picks can still
+    # grow by, so the picks, their first-draw order and the rng state after
+    # each step are the per-call loop's for any batch size; the class of 30
+    # fills its picks before TIE_FAMILY_CAP draws
+    vals = np.repeat([2.0, 1.0][2 - len(sizes):], sizes)
+    seq = Sequence(dict(enumerate(vals.tolist(), start=1)))
+    runs = []
+    for floats in (1 << 12, 1 << 20):
+        monkeypatch.setattr(greedy, "PICK_FLOATS", floats)
+        ctx = _Context(seq, L1)
+        steps = []
+        for N in Ns:
+            kept, exact = ctx.greedy_kept(N)
+            assert not exact
+            steps.append((kept.tolist(), ctx.rng.bit_generator.state))
+        runs.append(steps)
+    assert runs[0] == runs[1]
+
+
+def _per_step_extrema(ctx):
+    """Reference of greedy._greedy_extrema one step at a time: each step's
+    oracle family (greedy_kept's picks for a sampled step) goes through
+    subset_masks, and the runs are stacked into MASK_CHUNK blocks without
+    splitting a step, one norms call per block."""
+    ev, runs, hi, lo = ctx.evaluator, [], [], []
+
+    def reduce():
+        vals = ev.norms(np.concatenate(runs))
+        starts = np.cumsum([0] + [len(run) for run in runs[:-1]])
+        hi.extend(np.maximum.reduceat(vals, starts).tolist())
+        lo.extend(np.minimum.reduceat(vals, starts).tolist())
+        runs.clear()
+
+    for N in range(ctx.n):
+        a, b = ctx._tie_class(N) if N else (0, 0)
+        if math.comb(b - a, N - a) > greedy.TIE_FAMILY_CAP and ctx.spec.tag != "lp":
+            fam = ctx.greedy_kept(N)[0]
+        else:
+            fam = _oracle_representatives(ctx, N, None)[0]
+        masks = ev.subset_masks(fam, complement=True)
+        if runs and sum(map(len, runs)) + len(masks) > MASK_CHUNK:
+            reduce()
+        runs.append(masks)
+    reduce()
+    return hi, lo
+
+
+# tie layouts: a singleton run, classes of 1 to 15 in runs, a class of 15
+# between singletons (the codes of a class and the staircase share a block)
+EXTREMA_LAYOUTS = [(1,) * 12, (1, 5, 1, 1, 3, 2, 1), (2, 15, 1), (4, 1, 1, 7, 6)]
+
+
+@pytest.mark.parametrize("label", ALL_SPACE_LABELS)
+def test_greedy_extrema_equal_the_per_step_reference(label):
+    # the same rows in the same blocks: bitwise in every space
+    spec = parse_space(label)
+    rng = np.random.default_rng(11)
+    for sizes in EXTREMA_LAYOUTS:
+        mags = np.repeat(np.geomspace(1.0, 0.1, len(sizes)), sizes)
+        seq = attach(spec, (rng.permutation(mags) * rng.choice([-1.0, 1.0], len(mags))).tolist())
+        ctx = _Context(seq, spec)
+        hi, lo, exact = greedy._greedy_extrema(ctx)
+        assert exact.all()
+        assert (hi.tolist(), lo.tolist()) == _per_step_extrema(_Context(seq, spec)), sizes
+
+
+@pytest.mark.parametrize("label,sizes", [
+    # classes of 15, 15 and 14 stack 81,920 residual rows: the second class
+    # starts a new MASK_CHUNK block and the third joins it
+    ("fpr:0,2,2,1", (15, 15, 14, 1)), ("bmo:2", (15, 15, 14, 1)),
+    ("lplq:2,1", (15, 15, 14, 1)),
+    # a class of 16: its listed steps from codes, m = 7..9 sampled in between
+    ("bmo:2", (3, 16, 2)), ("lpq:2,4", (3, 16, 2)),
+])
+def test_greedy_extrema_equal_the_per_step_reference_across_blocks(label, sizes):
+    spec = parse_space(label)
+    seq = attach(spec, np.repeat([1.0, 0.6, 0.3, 0.1][: len(sizes)], sizes).tolist())
+    hi, lo, exact = greedy._greedy_extrema(_Context(seq, spec))
+    assert exact.sum() == len(exact) - (3 if 16 in sizes else 0)
+    assert (hi.tolist(), lo.tolist()) == _per_step_extrema(_Context(seq, spec))
 
 
 # tie classes per space: small supports, every class listed in full, plus one

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -65,6 +66,35 @@ def test_specs_are_values():
     element_norm(parse_space("lpq:2,4"), Cube(3, (1,)))
     element_norm(parse_space("lpq:2,4"), Cube(3, (5,)))
     assert _element_norm_cached.cache_info()[:2] == (1, 1)
+
+
+def test_spec_hash_is_taken_once_and_equal_specs_share_a_cache_entry(monkeypatch):
+    # element_norm hashes its spec on every lookup: the spec hashes its fields
+    # (the OrliczFunction among them) once, when it is built
+    from nterm.spaces import OrliczFunction
+
+    calls = []
+    field_hash = OrliczFunction.__hash__
+    monkeypatch.setattr(OrliczFunction, "__hash__",
+                        lambda self: calls.append(self) or field_hash(self))
+    cube = Cube(9, (3,))
+    for label in ("orlicz:ulogu", "orlicz:powlog:2,1", "orlicz:pow:1.5", "lpq:2,4",
+                  "fpr:0,2,2,1", "bmo:2"):
+        a, b = parse_space(label), parse_space(label)
+        assert a is not b and a == b and hash(a) == hash(b)
+        built = len(calls)
+        element_norm(a, cube)
+        before = _element_norm_cached.cache_info()
+        for _ in range(3):
+            assert element_norm(b, cube) == element_norm(a, cube)
+        after = _element_norm_cached.cache_info()
+        assert (after.hits - before.hits, after.misses - before.misses) == (6, 0)
+        assert after.currsize == before.currsize
+        assert len(calls) == built, label
+        # a pickled spec is rebuilt, so its hash is taken in the loading interpreter
+        c = pickle.loads(pickle.dumps(a))
+        assert c == a and hash(c) == hash(a)
+    assert parse_space("orlicz:pow:2") != parse_space("orlicz:powlog:2,0")
 
 
 def test_rho_values():

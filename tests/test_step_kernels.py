@@ -195,7 +195,8 @@ def test_pow_luxemburg_is_one_newton_step(data, p):
 
 BATCH_SPACES = ["orlicz:pow:1.5", "orlicz:powlog:2,1", "orlicz:ulogu", "lpq:2,4", "lpq:4,2",
                 "hyp:4,2", "hyp:2,2", "fpr:0,2,2,1"]
-DEEP_BATCH_SPACES = ["hyp:4,2", "hyp:2,2", "fpr:0,2,2,1"]
+DEEP_BATCH_SPACES = ["hyp:4,2", "hyp:2,2", "fpr:0,2,2,1", "fpr:0,2,2,2", "lpq:2,4", "lpq:4,2",
+                     "orlicz:ulogu", "bmo:2"]
 
 
 def _assert_batch_equals_scalar(spec, idx, vals, seed):
@@ -220,33 +221,38 @@ def test_batch_equals_scalar(label, vals, seed):
 
 
 @st.composite
-def deep_supports(draw, universe, max_level=120, max_size=8):
-    """Distinct dyadic rectangles of [0,1)^2 or intervals of [0,1) with levels
-    to max_level per axis; about half hang below an earlier member, so weights
-    2^(j1 + j2) that differ by far more than 2^53 meet in one cell."""
-    axes = 2 if universe == "rect" else 1
+def deep_supports(draw, universe, d=1, max_level=120, max_size=8):
+    """Distinct dyadic rectangles of [0,1)^2, or cubes of [0,1)^d (intervals
+    for d = 1), with levels to max_level per axis; about half hang below an
+    earlier member, so weights 2^(j1 + j2) (2^(j d) for cubes) that differ by
+    far more than 2^53 meet in one cell. A cube's axes share its level."""
+    axes = 2 if universe == "rect" else d
     members = []
     for _ in range(draw(st.integers(1, max_size))):
         if members and draw(st.booleans()):
             base = draw(st.sampled_from(members))
             gaps = [draw(st.integers(0, max_level - j)) for j, _ in base]
+            if universe != "rect":
+                gaps = gaps[:1] * axes
             member = tuple((j + g, k << g | draw(st.integers(0, (1 << g) - 1)))
                            for (j, k), g in zip(base, gaps))
         else:
             levels = [draw(st.integers(0, max_level)) for _ in range(axes)]
+            if universe != "rect":
+                levels = levels[:1] * axes
             member = tuple((j, draw(st.integers(0, (1 << j) - 1))) for j in levels)
         if member not in members:
             members.append(member)
     if universe == "rect":
         return [Rect(tuple(interval(j, k) for j, k in m)) for m in members]
-    return [Cube(j, (k,)) for ((j, k),) in members]
+    return [Cube(m[0][0], tuple(k for _, k in m)) for m in members]
 
 
 @given(st.sampled_from(DEEP_BATCH_SPACES), st.data(), st.integers(0, 2**32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_batch_equals_scalar_on_deep_families(label, data, seed):
     spec = parse_space(label)
-    idx = data.draw(deep_supports(spec.universe))
+    idx = data.draw(deep_supports(spec.universe, spec.d if spec.tag == "fpr" else 1))
     vals = data.draw(st.lists(st.floats(0.01, 100.0), min_size=len(idx), max_size=len(idx)))
     _assert_batch_equals_scalar(spec, idx, vals, seed)
 
