@@ -30,10 +30,11 @@ each block is one BatchNorm.norms call, reduced per step by max (gamma) or min
 singleton class, the last step of a class, every l^p step) is the row
 cols >= N, and a run of them is one staircase. A class of t <= CODE_BITS
 positions takes the rows of its listed steps from the t-bit residual codes in
-ascending order, grouped by popcount (`_residual_codes`), which is the
+ascending order, grouped by popcount (`_residual_groups`), which is the
 combination order of the kept sets; every step of a class of at most 15 is
 listed. Larger classes list their listed steps by itertools.combinations.
-Steps past TIE_FAMILY_CAP are sampled, and l^p(+)l^q steps take the
+Steps past TIE_FAMILY_CAP take their masks straight from the sampler's
+membership rows (`sampled_masks`), and l^p(+)l^q steps take the
 per-component-count representatives. Stacking changes the matmul shapes of the
 square-function and bmo evaluators, so their values agree with a per-step
 evaluation of the same family to rel 1e-15. The additive l^p and l^p(+)l^q
@@ -111,29 +112,32 @@ class _Context:
 
     def greedy_kept(self, N):
         """Admissible kept position-sets of size N (first N of some
-        magnitude-nonincreasing ordering) as the rows of an int array, plus an
-        exactness flag; a family past TIE_FAMILY_CAP is sampled (module
-        docstring)."""
+        magnitude-nonincreasing ordering) as the rows of an int array, in
+        combination order. Only for a listed family, of at most
+        TIE_FAMILY_CAP sets; larger ones are sampled by sampled_masks."""
         if N <= 0:
-            return np.empty((1, 0), dtype=np.intp), True
+            return np.empty((1, 0), dtype=np.intp)
         if N >= self.n:
-            return np.arange(self.n)[None, :], True
+            return np.arange(self.n)[None, :]
         a, b = self._tie_class(N)
-        t, m = b - a, N - a
-        count = math.comb(t, m)
-        if count <= TIE_FAMILY_CAP:
-            combos = chain.from_iterable(combinations(range(a, b), m))
-            kept = np.empty((count, N), dtype=np.intp)
-            kept[:, a:] = np.fromiter(combos, np.intp, count * m).reshape(count, m)
-        else:
-            member = self._sampled_ties(a, b, m)
-            kept = np.empty((len(member), N), dtype=np.intp)
-            # positions of the members, PICK_FLOATS // t rows at a time
-            pos, step = np.broadcast_to(np.arange(a, b), member.shape), _pick_rows(t)
-            for i in range(0, len(member), step):
-                kept[i : i + step, a:] = pos[i : i + step][member[i : i + step]].reshape(-1, m)
+        m = N - a
+        count = math.comb(b - a, m)
+        combos = chain.from_iterable(combinations(range(a, b), m))
+        kept = np.empty((count, N), dtype=np.intp)
+        kept[:, a:] = np.fromiter(combos, np.intp, count * m).reshape(count, m)
         kept[:, :a] = np.arange(a)
-        return kept, count <= TIE_FAMILY_CAP
+        return kept
+
+    def sampled_masks(self, N):
+        """Residual masks (column c true where position c is left out) of the
+        sampled kept sets of step N, a family past TIE_FAMILY_CAP (module
+        docstring), in first-draw order."""
+        a, b = self._tie_class(N)
+        member = self._sampled_ties(a, b, N - a)
+        masks = np.ones((len(member), self.n), dtype=bool)
+        masks[:, :a] = False
+        np.logical_not(member, out=masks[:, a:b])
+        return masks
 
     def _sampled_ties(self, a, b, m):
         """The sampled m-subsets of the tie class a..b-1 (module docstring) as
@@ -148,14 +152,11 @@ class _Context:
         member[0, :m] = member[1, t - m :] = True
         drawn = 0
         while drawn < TIE_FAMILY_CAP and len(member) < TIE_FAMILY_CAP:
-            rows = min(_pick_rows(t), TIE_FAMILY_CAP - drawn, TIE_FAMILY_CAP - len(member))
+            rows = min(max(1, PICK_FLOATS // t), TIE_FAMILY_CAP - drawn,
+                       TIE_FAMILY_CAP - len(member))
             member = _first_rows(np.concatenate((member, _floyd_picks(self.rng, t, m, rows))))
             drawn += rows
         return member
-
-
-def _pick_rows(t):
-    return max(1, PICK_FLOATS // t)
 
 
 def _first_rows(member):
@@ -191,16 +192,28 @@ def _floyd_picks(rng, t, m, rows):
     return member
 
 
-def _residual_codes(t):
-    """All t-bit residual codes (position j at bit t-1-j) grouped by falling
-    popcount, ascending within a group, and the group starts: group m,
-    codes[starts[m]:starts[m+1]], holds the residuals of the m-subsets, in
-    the combination order of the kept sets."""
-    popcount = np.bitwise_count(np.arange(1 << t, dtype=np.uint32))
-    codes = np.argsort(~popcount, kind="stable").astype(np.uint32)
-    starts = np.cumsum(np.bincount(popcount, minlength=t + 1)[::-1])
-    bits = (1 << np.arange(t - 1, -1, -1)).astype(np.uint32)
-    return codes, np.concatenate(([0], starts)).tolist(), bits
+def _residual_groups(t):
+    """The t-bit residual codes (position j at bit t-1-j) of the m-subsets of
+    t positions, one group per m = 0..t, made one at a time: the codes of
+    popcount t - m in ascending order, which is the combination order of the
+    kept sets."""
+    codes = np.arange(1 << t, dtype=np.uint32)
+    popcount = np.bitwise_count(codes)
+    for k in range(t, -1, -1):
+        yield codes[popcount == k]
+
+
+def _code_bits(t):
+    """The bit of each position j = 0..t-1 in a t-bit residual code."""
+    return (1 << np.arange(t - 1, -1, -1)).astype(np.uint32)
+
+
+def _class_codes(t):
+    """Every residual code of a class of t as one array in group order, the
+    group starts (group m is codes[starts[m]:starts[m+1]]) and the bits."""
+    groups = list(_residual_groups(t))
+    starts = np.cumsum([0] + [len(g) for g in groups]).tolist()
+    return np.concatenate(groups), starts, _code_bits(t)
 
 
 class _Blocks:
@@ -279,16 +292,12 @@ def _greedy_extrema(ctx):
             blocks.add_masks(ev.subset_masks(ctx._direct_sum_kept(N), complement=True))
         elif t <= CODE_BITS and math.comb(t, m) <= TIE_FAMILY_CAP:
             if (a, b) not in classes:
-                classes[a, b] = (a, b) + _residual_codes(t)
+                classes[a, b] = (a, b) + _class_codes(t)
             blocks.add(math.comb(t, m), "codes", classes[a, b], m)
         elif math.comb(t, m) <= TIE_FAMILY_CAP:
-            blocks.add_masks(ev.subset_masks(ctx.greedy_kept(N)[0], complement=True))
+            blocks.add_masks(ev.subset_masks(ctx.greedy_kept(N), complement=True))
         else:
-            member = ctx._sampled_ties(a, b, m)
-            masks = np.ones((len(member), n), dtype=bool)
-            masks[:, :a] = False
-            np.logical_not(member, out=masks[:, a:b])
-            blocks.add_masks(masks)
+            blocks.add_masks(ctx.sampled_masks(N))
             exact[N] = False
     blocks.flush()
     return hi, lo, exact
@@ -326,7 +335,7 @@ def _sigma_all(ctx):
 
     l^p reads the residuals' p-th power sums off the subset-sum table. Other
     spaces evaluate one popcount class at a time in blocks of MASK_CHUNK; the
-    residual codes of `_residual_codes` follow the kept sets in combination
+    residual codes of `_residual_groups` follow the kept sets in combination
     order, so each block is a block of sigma_n_exact's scan and the norms agree
     bitwise (a block that mixes popcounts moves rows, which can move a matmul
     result by an ulp)."""
@@ -336,9 +345,9 @@ def _sigma_all(ctx):
     else:
         ev = ctx.evaluator
         resid = np.zeros(1 << n)
-        codes, starts, bits = _residual_codes(n)
-        for N in range(n):  # residual popcount n - N
-            cls = codes[starts[N] : starts[N + 1]]
+        bits = _code_bits(n)
+        # residual popcounts n..1; zip stops before the empty residual's group
+        for _, cls in zip(range(n), _residual_groups(n)):
             for start in range(0, len(cls), MASK_CHUNK):
                 block = cls[start : start + MASK_CHUNK]
                 resid[block] = ev.norms((block[:, None] & bits) != 0)

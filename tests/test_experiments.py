@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nterm import experiments
+from nterm import batch, experiments
 from nterm.batch import batch_evaluator
 from nterm.democracy import structured_family
 from nterm.errors import FeasibilityError, NumericError, ParseError
@@ -328,6 +328,51 @@ def test_batched_two_block_norms_match_the_scalar_path(label, alpha, schedule, N
         assert rng.bit_generator.state == ref.bit_generator.state
 
 
+# at lpq:1.2,6, N = 5 the batch evaluator's witness norms differ from the
+# scalar ones in the last bits, so the bitwise checks below see the path taken
+@pytest.mark.parametrize("label,schedule,N", [("lpq:1.2,6", cor72_schedule(2, 1), 5),
+                                              ("bmo:2", cor73_schedule(1, 1), 3)])
+def test_two_block_norms_past_the_batch_support_take_the_scalar_path(monkeypatch, label,
+                                                                     schedule, N):
+    # a support past WITNESS_BATCH_MAX builds no batch evaluator: every row
+    # takes the scalar ambient_norm, so the witness norms are the
+    # per-candidate ones bitwise
+    spec = parse_space(label)
+    left, right = _witness_blocks(spec, schedule, N)
+
+    def refuse(*args):
+        raise AssertionError("batch evaluator built past WITNESS_BATCH_MAX")
+
+    monkeypatch.setattr(experiments, "WITNESS_BATCH_MAX", len(left) + len(right) - 1)
+    monkeypatch.setattr(experiments, "batch_evaluator", refuse)
+    rng, ref = np.random.default_rng(N), np.random.default_rng(N)
+    got = experiments._two_block_norms(spec, left, right, 0.4, rng)
+    assert got == _scalar_two_block_norms(spec, left, right, 0.4, ref)
+
+
+def test_two_block_norms_take_the_scalar_path_where_the_incidence_is_refused(monkeypatch):
+    # with the incidence cap below this support's, batch_evaluator raises
+    # FeasibilityError before it builds anything, and the rows take the scalar
+    # ambient_norm: the per-candidate witness norms bitwise
+    spec = parse_space("lpq:1.2,6")
+    left, right = _witness_blocks(spec, cor72_schedule(2, 1), 5)
+    raised = []
+
+    def spy(*args):
+        try:
+            return batch_evaluator(*args)
+        except FeasibilityError as exc:
+            raised.append(exc)
+            raise
+
+    monkeypatch.setattr(batch, "INCIDENCE_CAP", 10)
+    monkeypatch.setattr(experiments, "batch_evaluator", spy)
+    rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+    got = experiments._two_block_norms(spec, left, right, 0.4, rng)
+    assert len(raised) == 1
+    assert got == _scalar_two_block_norms(spec, left, right, 0.4, ref)
+
+
 def test_two_block_rows_of_a_deep_tower_take_the_scalar_path(monkeypatch):
     # at N = 30 the cor72 left block is a tower of 900 levels: its batch inner
     # sums overflow, batch_evaluator raises NumericError, and the rows go
@@ -431,6 +476,16 @@ def test_nonlinearity_cutoffs_match_bisection(p, q, alpha, K):
     assert res["J_max"] == len(cutoffs) - 1
     Js = np.unique(np.round(np.geomspace(2, res["J_max"], experiments.RATE_GRID)).astype(int))
     assert [N for N, _ in res["points_sum"]] == [cutoffs[J] + J for J in Js.tolist()]
+
+
+@pytest.mark.parametrize("K", [1_000, 10**6])
+def test_nonlinearity_cutoffs_with_a_large_exponent_ratio(K):
+    # gamma / beta = 2501 / 2: the float estimate 2^(2501/2) of the second
+    # cutoff is past the float range, so it must clamp to K; the grid then
+    # has one block, as the binary search finds, and the demo refuses it
+    assert len(_cutoffs_by_bisection(1000.0, 0.4, 0.001, K)) - 1 < 2
+    with pytest.raises(FeasibilityError, match="truncation K too small"):
+        nonlinearity_demo(1000.0, 0.4, 0.001, K)
 
 
 def test_nonlinearity_small_K_flags_insufficient():

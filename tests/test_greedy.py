@@ -81,6 +81,17 @@ def _oracle_profile(seq, spec):
     return out
 
 
+def _engine_kept(ctx, N):
+    """The engine's kept position-sets of step N as the rows of an int array,
+    and the exactness flag: greedy_kept for a listed family, the complements
+    of sampled_masks' rows for a sampled one."""
+    if 0 < N < ctx.n:
+        a, b = ctx._tie_class(N)
+        if math.comb(b - a, N - a) > greedy.TIE_FAMILY_CAP:
+            return np.nonzero(~ctx.sampled_masks(N))[1].reshape(-1, N), False
+    return ctx.greedy_kept(N), True
+
+
 def greedy_sets(seq, N):
     """Oracle greedy sets as index sets, plus the exactness flag."""
     ctx = _Context(seq, L1)
@@ -91,7 +102,7 @@ def greedy_sets(seq, N):
 def engine_sets(seq, N):
     """The engine's greedy sets at step N (fresh context), as index sets."""
     ctx = _Context(seq, L1)
-    kept, exact = ctx.greedy_kept(N)
+    kept, exact = _engine_kept(ctx, N)
     return [frozenset(ctx.indices[i] for i in row) for row in kept.tolist()], exact
 
 
@@ -150,7 +161,7 @@ def test_families_match_oracle(rng):
         seq = _tie_heavy(L2, sizes, rng)
         ctx = _Context(seq, L2)
         for N in range(ctx.n + 1):
-            kept, exact = ctx.greedy_kept(N)
+            kept, exact = _engine_kept(ctx, N)
             want, want_exact = _oracle_kept(ctx, N, None)
             assert exact == want_exact
             assert kept.shape == (len(want), N)
@@ -165,7 +176,7 @@ def _sampler_against_oracle(seq, Ns):
     rng = np.random.default_rng(0)
     sampled = []
     for N in Ns:
-        kept, exact = ctx.greedy_kept(N)
+        kept, exact = _engine_kept(ctx, N)
         want, want_exact = _oracle_kept(ctx, N, rng)
         assert exact == want_exact
         assert [tuple(row) for row in kept.tolist()] == want, N
@@ -226,47 +237,49 @@ def test_floyd_picks_replay_choice(t, m):
     assert rng.bit_generator.state == ref.bit_generator.state
 
 
-def _sampled_step_peaks(seq, Ns, warm):
-    """tracemalloc peak of each sampled step N in Ns (greedy_kept, then its
-    residual masks), after the steps in warm have drawn their picks."""
+def _sampled_step_bound(n, t):
+    """Bytes a sampled step of a class of t in a support of n may hold: its
+    residual masks (TIE_FAMILY_CAP x n bools), the membership rows with their
+    concatenation and deduplicated copy (3 x TIE_FAMILY_CAP x t bools), and one
+    Floyd batch (PICK_FLOATS bools, and fewer than 2 PICK_FLOATS int32 draws).
+    On the supports below it is under the bound of a listed family's kept
+    rows, 9 x TIE_FAMILY_CAP x n (n intp and n bools per set)."""
+    return greedy.TIE_FAMILY_CAP * (n + 3 * t) + 9 * greedy.PICK_FLOATS
+
+
+def _sampled_step_peaks(seq, Ns):
+    """tracemalloc peak of each sampled step N in Ns: the sampler's picks and
+    the residual masks built from them, as a profile builds them."""
     ctx = _Context(seq, L1)
-    ev = ctx.evaluator
-    for N in warm:
-        ctx.greedy_kept(N)
     peaks = []
     for N in Ns:
         tracemalloc.start()
         try:
-            kept, exact = ctx.greedy_kept(N)
-            ev.subset_masks(kept, complement=True)
+            ctx.sampled_masks(N)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-        assert not exact
     return peaks
 
 
 def test_sampled_step_memory_is_bounded_by_its_rows():
-    # one sampled step (class of 16 after a prefix of 3, m = 7..9) and its
-    # residual masks hold at most TIE_FAMILY_CAP kept rows of n intp and as many
-    # mask rows of n bools. The Floyd draws live one batch at a time, the
-    # membership rows take t bools per pick, and the kept rows are filled from
-    # them PICK_FLOATS // t rows at a time
+    # one sampled step (class of 16 after a prefix of 3, m = 7..9): the Floyd
+    # draws live one batch at a time and the membership rows take t bools per pick
     seq = Sequence({k: 2.0 if k <= 3 else 1.0 for k in range(1, 20)})
-    n = 19
-    bound = greedy.TIE_FAMILY_CAP * n * 8 + greedy.TIE_FAMILY_CAP * n
-    peaks = _sampled_step_peaks(seq, (10, 11, 12), range(10))
+    bound = _sampled_step_bound(19, 16)
+    assert bound < greedy.TIE_FAMILY_CAP * 19 * 9
+    peaks = _sampled_step_peaks(seq, (10, 11, 12))
     assert max(peaks) < bound, ([p / 2**20 for p in peaks], bound / 2**20)
 
 
 def test_sampled_step_memory_on_an_all_ones_class_of_63():
-    # m = 50 of a class of 63 at offset 0: the kept rows are nearly as wide as
-    # the support, so the sampler's own rows (63 bools per pick) and the
-    # dedupe keys must stay small beside them
+    # m = 50 of a class of 63 at offset 0, where a set of pick tuples took
+    # 1.28x the kept-row bound: the membership rows and the dedupe keys must
+    # stay within a few copies of the masks
     seq = Sequence({k: 1.0 for k in range(1, 64)})
-    n = 63
-    bound = greedy.TIE_FAMILY_CAP * n * 8 + greedy.TIE_FAMILY_CAP * n
-    peak, = _sampled_step_peaks(seq, (50,), ())
+    bound = _sampled_step_bound(63, 63)
+    assert bound < greedy.TIE_FAMILY_CAP * 63 * 9
+    peak, = _sampled_step_peaks(seq, (50,))
     assert peak < bound, (peak / 2**20, bound / 2**20)
 
 
@@ -285,16 +298,14 @@ def test_sampled_picks_do_not_depend_on_the_row_budget(monkeypatch, sizes, Ns):
         ctx = _Context(seq, L1)
         steps = []
         for N in Ns:
-            kept, exact = ctx.greedy_kept(N)
-            assert not exact
-            steps.append((kept.tolist(), ctx.rng.bit_generator.state))
+            steps.append((ctx.sampled_masks(N).tolist(), ctx.rng.bit_generator.state))
         runs.append(steps)
     assert runs[0] == runs[1]
 
 
 def _per_step_extrema(ctx):
     """Reference of greedy._greedy_extrema one step at a time: each step's
-    oracle family (greedy_kept's picks for a sampled step) goes through
+    oracle family (the sampler's picks for a sampled step) goes through
     subset_masks, and the runs are stacked into MASK_CHUNK blocks without
     splitting a step, one norms call per block."""
     ev, runs, hi, lo = ctx.evaluator, [], [], []
@@ -309,7 +320,7 @@ def _per_step_extrema(ctx):
     for N in range(ctx.n):
         a, b = ctx._tie_class(N) if N else (0, 0)
         if math.comb(b - a, N - a) > greedy.TIE_FAMILY_CAP and ctx.spec.tag != "lp":
-            fam = ctx.greedy_kept(N)[0]
+            fam = _engine_kept(ctx, N)[0]
         else:
             fam = _oracle_representatives(ctx, N, None)[0]
         masks = ev.subset_masks(fam, complement=True)
@@ -395,7 +406,7 @@ def test_profile_memory_is_bounded_by_the_mask_block():
     seq = attach(spec, np.repeat(np.linspace(1.0, 0.2, 6), 15).tolist())
     ctx = _Context(seq, spec)
     n = ctx.n
-    rows = sum(len(ctx.greedy_kept(N)[0]) for N in range(n))
+    rows = sum(len(ctx.greedy_kept(N)) for N in range(n))
     assert rows > 2 * MASK_CHUNK
     gamma_profile(seq, spec)  # fills the element-norm cache
     r, scale_exp = spec.square_exponents

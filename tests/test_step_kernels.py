@@ -249,7 +249,7 @@ def deep_supports(draw, universe, d=1, max_level=120, max_size=8):
 
 
 @given(st.sampled_from(DEEP_BATCH_SPACES), st.data(), st.integers(0, 2**32 - 1))
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=160, deadline=None)
 def test_batch_equals_scalar_on_deep_families(label, data, seed):
     spec = parse_space(label)
     idx = data.draw(deep_supports(spec.universe, spec.d if spec.tag == "fpr" else 1))
