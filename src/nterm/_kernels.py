@@ -1,6 +1,6 @@
-"""Numpy kernels over all 2^n bitmasks of n elements: the subset sums that give
-every l^p residual's p-th power, and the per-popcount reduction that turns a
-table indexed by residual mask into every sigma_N at once."""
+"""Numpy kernels over all 2^n bitmasks of n elements, for the exact l^p sweep
+only: the subset sums that give every l^p residual's p-th power sum, and the
+per-popcount reduction that turns that table into every sigma_N at once."""
 import numpy as np
 
 BACKEND = "python"  # the only backend; perfbench/worker.py records it

@@ -13,7 +13,8 @@ The square-function spaces (fpr, lpq, orlicz, hyp) take their atoms and the
 spaces.square_function records, so the scalar and batch layers share one
 refinement (its canonical index order is permuted to the given order once, at
 build); an incidence past INCIDENCE_CAP = 5e7 entries raises FeasibilityError
-before the square function is built.
+before the square function is built, as does a bmo (node x index) weight
+matrix past the same cap before it is built.
 
 The inner sums (p-th powers, r-th power square-function sums, bmo means) are
 taken in linear float range and checked finite; a support whose weights leave
@@ -52,7 +53,7 @@ from itertools import chain, combinations, islice
 import numpy as np
 
 from .errors import FeasibilityError, NumericError
-from .geometry import rect_grid
+from .geometry import rect_grid, virtual_tree
 from .indices import canonical_key
 from .sequences import Sequence
 from .spaces import (SpaceSpec, bmo_weights, check_rect_axes, lorentz_rows, luxemburg_rows,
@@ -66,7 +67,7 @@ MASK_CHUNK = 1 << 16
 KERNEL_ROWS = 1 << 12
 # floats per (rows x atoms) temporary of a kept-index slice in subset_norms
 KEPT_FLOATS = 1 << 16
-# entries of the (atoms x indices) square-function incidence
+# entries of the (atoms x indices) incidence or the (nodes x indices) bmo weights
 INCIDENCE_CAP = 5 * 10**7
 
 
@@ -204,7 +205,10 @@ def batch_evaluator(spec: SpaceSpec, indices, values) -> BatchNorm:
                          lambda s: s[:, 0] ** (1.0 / spec.p) + s[:, 1] ** (1.0 / spec.q))
 
     if spec.tag == "bmo":
-        rows, = bmo_weights(indices, [v**spec.r for v in values])
+        tree = virtual_tree(indices)
+        if len(tree[0]) * len(indices) > INCIDENCE_CAP:
+            raise FeasibilityError("bmo weight matrix too large for the batch engine")
+        rows, = bmo_weights(tree, [v**spec.r for v in values])
         # (nodes x n) in C order, the layout the matmul has always read
         cmat = np.ascontiguousarray(rows.T)
         _check_finite(cmat)

@@ -23,22 +23,23 @@ t <= 10,000, where numpy's choice takes Floyd's branch, the picks and the rng
 state after each step equal those of the per-call loop, whatever the batch
 size, so a sequence always gets the same picks.
 
-A profile builds its residual masks one tie class at a time and stacks them
-in step order into blocks of at most MASK_CHUNK rows, never splitting a step;
-each block is one BatchNorm.norms call, reduced per step by max (gamma) or min
-(the sigma bound). A step whose family is the one set [0, N) (N = 0, a
-singleton class, the last step of a class, every l^p step) is the row
-cols >= N, and a run of them is one staircase. A class of t <= CODE_BITS
-positions takes the rows of its listed steps from the t-bit residual codes in
-ascending order, grouped by popcount (`_residual_groups`), which is the
-combination order of the kept sets; every step of a class of at most 15 is
-listed. Larger classes list their listed steps by itertools.combinations.
-Steps past TIE_FAMILY_CAP take their masks straight from the sampler's
-membership rows (`sampled_masks`), and l^p(+)l^q steps take the
-per-component-count representatives. Stacking changes the matmul shapes of the
-square-function and bmo evaluators, so their values agree with a per-step
-evaluation of the same family to rel 1e-15. The additive l^p and l^p(+)l^q
-rows do not depend on the batch shape and agree bitwise.
+A profile builds each step's residual masks (column c true where position c
+is left out) as one boolean array, `_step_masks`. A step whose family is the
+one set [0, N) (N = 0, a singleton class, the last step of a class, every l^p
+step) is the row cols >= N. A class of t <= CODE_BITS positions takes the rows
+of its listed steps from the t-bit residual codes in ascending order, grouped
+by popcount (`_residual_groups`), which is the combination order of the kept
+sets; every step of a class of at most 15 is listed. Larger classes list their
+listed steps by itertools.combinations. Steps past TIE_FAMILY_CAP take their
+masks straight from the sampler's membership rows (`sampled_masks`), and
+l^p(+)l^q steps take the per-component-count representatives. The steps'
+arrays are stacked in step order into blocks of at most MASK_CHUNK rows,
+never splitting a step; each block is one BatchNorm.norms call, reduced per
+step by max (gamma) or min (the sigma bound) with reduceat. Stacking changes
+the matmul shapes of the square-function and bmo evaluators, so their values
+agree with a per-step evaluation of the same family to rel 1e-15. The
+additive l^p and l^p(+)l^q rows do not depend on the batch shape and agree
+bitwise.
 """
 from __future__ import annotations
 
@@ -208,69 +209,26 @@ def _code_bits(t):
     return (1 << np.arange(t - 1, -1, -1)).astype(np.uint32)
 
 
-def _class_codes(t):
-    """Every residual code of a class of t as one array in group order, the
-    group starts (group m is codes[starts[m]:starts[m+1]]) and the bits."""
-    groups = list(_residual_groups(t))
-    starts = np.cumsum([0] + [len(g) for g in groups]).tolist()
-    return np.concatenate(groups), starts, _code_bits(t)
-
-
-class _Blocks:
-    """Residual rows of consecutive steps, stacked in step order into blocks
-    of at most MASK_CHUNK rows without splitting a step. Each block is one
-    norms call, reduced per step into hi (max) and lo (min).
-
-    A block is a list of pieces [kind, key, i, j], each over consecutive
-    steps: a staircase of steps i..j-1 ("stair"), the code groups i..j-1 of
-    one class ("codes", key (a, b, codes, starts, bits)), or one step's mask
-    rows ("masks", key the rows)."""
-
-    def __init__(self, ev, hi, lo):
-        self.ev, self.hi, self.lo = ev, hi, lo
-        self.cols = np.arange(ev.n)
-        self.pieces, self.counts, self.rows, self.first = [], [], 0, 0
-
-    def add(self, count, kind, key=None, i=0):
-        """Append the next step: `count` rows, step or group i of a piece."""
-        if self.rows + count > MASK_CHUNK and self.counts:
-            self.flush()
-        self.counts.append(count)
-        self.rows += count
-        last = self.pieces[-1] if self.pieces else None
-        if kind != "masks" and last and last[0] == kind and last[1] is key:
-            last[3] += 1
-        else:
-            self.pieces.append([kind, key, i, i + 1])
-
-    def add_masks(self, masks):
-        self.add(len(masks), "masks", masks)
-
-    def flush(self):
-        block = np.empty((self.rows, self.ev.n), dtype=bool)
-        r = 0
-        for kind, key, i, j in self.pieces:
-            if kind == "stair":
-                out = block[r : r + j - i]
-                np.greater_equal(self.cols, np.arange(i, j)[:, None], out=out)
-            elif kind == "codes":
-                a, b, codes, starts, bits = key
-                rows = codes[starts[i] : starts[j], None]
-                out = block[r : r + len(rows)]
-                out[:, :a] = False
-                out[:, b:] = True
-                np.not_equal(rows & bits, 0, out=out[:, a:b])
-            else:
-                out = block[r : r + len(key)]
-                out[:] = key
-            r += len(out)
-        vals = self.ev.norms(block)
-        starts = np.cumsum([0] + self.counts[:-1])
-        steps = slice(self.first, self.first + len(self.counts))
-        np.maximum.reduceat(vals, starts, out=self.hi[steps])
-        np.minimum.reduceat(vals, starts, out=self.lo[steps])
-        self.first += len(self.counts)
-        self.pieces, self.counts, self.rows = [], [], 0
+def _step_masks(ctx, N, groups):
+    """Residual masks of step N's greedy family (module docstring), and
+    whether the family is listed in full. `groups` caches each class size's
+    residual-code groups."""
+    a, b = ctx._tie_class(N) if N else (0, 0)
+    t, m = b - a, N - a
+    if N == b or ctx.spec.tag == "lp":
+        return (np.arange(ctx.n) >= N)[None], True
+    if ctx.spec.tag == "lplq":
+        return ctx.evaluator.subset_masks(ctx._direct_sum_kept(N), complement=True), True
+    if math.comb(t, m) > TIE_FAMILY_CAP:
+        return ctx.sampled_masks(N), False
+    if t > CODE_BITS:
+        return ctx.evaluator.subset_masks(ctx.greedy_kept(N), complement=True), True
+    if t not in groups:
+        groups[t] = list(_residual_groups(t))
+    codes = groups[t][m]
+    masks = np.repeat((np.arange(ctx.n) >= b)[None], len(codes), axis=0)
+    masks[:, a:b] = (codes[:, None] & _code_bits(t)) != 0
+    return masks, True
 
 
 def _greedy_extrema(ctx):
@@ -279,27 +237,26 @@ def _greedy_extrema(ctx):
     n = ctx.n
     hi, lo = np.zeros(n), np.zeros(n)
     exact = np.ones(n, dtype=bool)
-    if n == 0:
-        return hi, lo, exact
-    ev = ctx.evaluator
-    blocks, classes = _Blocks(ev, hi, lo), {}
+    block, rows, groups = [], 0, {}
+
+    def reduce(first):
+        starts = np.cumsum([0] + [len(masks) for masks in block[:-1]])
+        steps = slice(first, first + len(block))
+        masks = np.concatenate(block)
+        block.clear()  # the steps' arrays go before the evaluation's temporaries
+        vals = ctx.evaluator.norms(masks)
+        np.maximum.reduceat(vals, starts, out=hi[steps])
+        np.minimum.reduceat(vals, starts, out=lo[steps])
+
     for N in range(n):
-        a, b = ctx._tie_class(N) if N else (0, 0)
-        t, m = b - a, N - a
-        if N == b or ctx.spec.tag == "lp":
-            blocks.add(1, "stair", None, N)
-        elif ctx.spec.tag == "lplq":
-            blocks.add_masks(ev.subset_masks(ctx._direct_sum_kept(N), complement=True))
-        elif t <= CODE_BITS and math.comb(t, m) <= TIE_FAMILY_CAP:
-            if (a, b) not in classes:
-                classes[a, b] = (a, b) + _class_codes(t)
-            blocks.add(math.comb(t, m), "codes", classes[a, b], m)
-        elif math.comb(t, m) <= TIE_FAMILY_CAP:
-            blocks.add_masks(ev.subset_masks(ctx.greedy_kept(N), complement=True))
-        else:
-            blocks.add_masks(ctx.sampled_masks(N))
-            exact[N] = False
-    blocks.flush()
+        masks, exact[N] = _step_masks(ctx, N, groups)
+        if block and rows + len(masks) > MASK_CHUNK:
+            reduce(N - len(block))
+            rows = 0
+        block.append(masks)
+        rows += len(masks)
+    if block:
+        reduce(n - len(block))
     return hi, lo, exact
 
 
@@ -331,30 +288,28 @@ class Profile:
 
 
 def _sigma_all(ctx):
-    """sigma_0 .. sigma_n: the norm of every residual mask, least per popcount.
+    """sigma_0 .. sigma_{n-1}: the least residual norm of each kept-set size.
 
-    l^p reads the residuals' p-th power sums off the subset-sum table. Other
-    spaces evaluate one popcount class at a time in blocks of MASK_CHUNK; the
-    residual codes of `_residual_groups` follow the kept sets in combination
-    order, so each block is a block of sigma_n_exact's scan and the norms agree
+    l^p reads the residuals' p-th power sums off the subset-sum table and
+    takes the least per popcount. Other spaces keep no table: they evaluate
+    each popcount group of `_residual_groups` in slices of MASK_CHUNK and take
+    each slice's minimum. The codes follow the kept sets in combination order,
+    so each slice is a block of sigma_n_exact's scan and the norms agree
     bitwise (a block that mixes popcounts moves rows, which can move a matmul
     result by an ulp)."""
     n = ctx.n
     if ctx.spec.tag == "lp":
-        resid = _kernels.subset_sums(ctx.mags**ctx.spec.p)
-    else:
-        ev = ctx.evaluator
-        resid = np.zeros(1 << n)
-        bits = _code_bits(n)
-        # residual popcounts n..1; zip stops before the empty residual's group
-        for _, cls in zip(range(n), _residual_groups(n)):
-            for start in range(0, len(cls), MASK_CHUNK):
-                block = cls[start : start + MASK_CHUNK]
-                resid[block] = ev.norms((block[:, None] & bits) != 0)
-    mins = _kernels.extrema_by_popcount(resid, n)[0][::-1]
-    # the root is taken on the reversed view: numpy's contiguous power loop can
-    # round differently from its strided one, and these floats are the reference
-    return mins ** (1.0 / ctx.spec.p) if ctx.spec.tag == "lp" else mins
+        sums = _kernels.subset_sums(ctx.mags**ctx.spec.p)
+        mins = _kernels.extrema_by_popcount(sums, n)[0][::-1]
+        # the root is taken on the reversed view: numpy's contiguous power loop
+        # can round differently from its strided one, and these floats are the
+        # reference
+        return (mins ** (1.0 / ctx.spec.p))[:n]
+    ev, bits = ctx.evaluator, _code_bits(n)
+    # kept-set sizes 0..n-1; zip stops before the empty residual's group
+    return np.array([min(ev.norms((cls[s : s + MASK_CHUNK, None] & bits) != 0).min()
+                         for s in range(0, len(cls), MASK_CHUNK))
+                     for _, cls in zip(range(n), _residual_groups(n))])
 
 
 def _check_method(method):
@@ -381,7 +336,7 @@ def sigma_profile(seq, spec, method="auto"):
             "use method='greedy'"
         )
     if n and (method == "exact" or (method == "auto" and 2**n <= 2 * SUBSET_CAP)):
-        vals[:n] = _sigma_all(ctx)[:n]
+        vals[:n] = _sigma_all(ctx)
     else:
         _, vals[:n], exact = _greedy_extrema(ctx)
         flags[:n] = ["greedy" if e else "sampled" for e in exact]

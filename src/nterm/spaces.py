@@ -522,26 +522,27 @@ def bmo_norm(seq: Sequence, r):
     if not items:
         return 0.0
     sums = None
-    for block in bmo_weights([iv for iv, _ in items], [mag**r for _, mag in items],
-                             BMO_BLOCK_FLOATS):
+    for block in bmo_weights(virtual_tree([iv for iv, _ in items]),
+                             [mag**r for _, mag in items], BMO_BLOCK_FLOATS):
         if sums is not None:
             block[0] += sums
         sums = block.sum(axis=0)
     return float(sums.max()) ** (1.0 / r)
 
 
-def bmo_weights(intervals, pows, block_floats=None):
-    """Relative weights of the bmo means over the virtual tree of the intervals.
+def bmo_weights(tree, pows, block_floats=None):
+    """Relative weights of the bmo means over the virtual tree of intervals,
+    as geometry.virtual_tree returns it (the intervals are its first nodes).
 
     Row J, for each interval J in order, is the vector over the tree nodes I
     of pows[J] |J|/|I| = pows[J] 2^(j_I - j_J) where I contains J, and 0
     elsewhere. Yields the rows as consecutive (rows x nodes) blocks of at
     most block_floats floats (at least one row each), or all in one block.
     """
-    nodes, start, end = virtual_tree(intervals)
+    nodes, start, end = tree
     levels = np.array([iv.j for iv in nodes])
     pows = np.asarray(pows, dtype=float)
-    n = len(intervals)
+    n = len(pows)
     step = n if block_floats is None else max(1, block_floats // len(nodes))
     for i in range(0, n, step):
         rows = slice(i, min(i + step, n))  # the tree lists the intervals first

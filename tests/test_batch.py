@@ -8,7 +8,8 @@ import pytest
 
 from nterm import batch
 from nterm.batch import KEPT_FLOATS, KERNEL_ROWS, MASK_CHUNK, batch_evaluator
-from nterm.democracy import default_universe, h_exhaustive, normalized_indicator_norm
+from nterm.democracy import (default_universe, democracy_profile, h_exhaustive,
+                             normalized_indicator_norm)
 from nterm.errors import FeasibilityError, NumericError, ParseError
 from nterm.experiments import canonical_indices
 from nterm.geometry import virtual_tree
@@ -252,6 +253,23 @@ def test_oversized_rect_incidence_is_refused_before_the_square_function(monkeypa
     idx = default_universe(parse_space("hyp:4,2")).indices
     with pytest.raises(FeasibilityError, match="incidence too large"):
         batch_evaluator(parse_space("hyp:4,2"), idx, [1.0] * len(idx))
+
+
+def test_oversized_bmo_weight_matrix_is_refused_before_it_is_built(monkeypatch):
+    # bmo:2's default universe: 8,191 intervals, and as many virtual-tree
+    # nodes, past INCIDENCE_CAP; the exhaustive N = 1 scan raises, and auto
+    # falls back to the structured families
+    def fail(*args):
+        raise AssertionError("bmo_weights ran")
+
+    monkeypatch.setattr(batch, "bmo_weights", fail)
+    spec = parse_space("bmo:2")
+    uni = default_universe(spec)
+    assert len(uni) ** 2 > batch.INCIDENCE_CAP
+    with pytest.raises(FeasibilityError, match="bmo weight matrix"):
+        h_exhaustive(spec, uni, 1)
+    row, = democracy_profile(spec, [1], strategy="auto").rows
+    assert row.method == "structured"
 
 
 def _bmo_rows_one_by_one(intervals, pows):

@@ -5,6 +5,11 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+from nterm import _kernels
+from nterm.greedy import sigma_profile
+from nterm.sequences import Sequence
+from nterm.spaces import parse_space
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
@@ -44,3 +49,15 @@ def test_element_norm_cache_info_resolves():
     from nterm import spaces
 
     assert callable(getattr(spaces._element_norm_cached, "cache_info", None))
+
+
+def test_exact_lp_sweep_calls_the_traced_kernels(monkeypatch):
+    # exact-sweep's coverage rule needs self time in both kernels, and the
+    # exact l^p sweep is their only caller
+    calls = []
+    for name in ("subset_sums", "extrema_by_popcount"):
+        real = getattr(_kernels, name)
+        monkeypatch.setattr(_kernels, name,
+                            lambda *args, real=real, name=name: calls.append(name) or real(*args))
+    sigma_profile(Sequence({1: 3.0, 2: 2.0, 3: 1.0}), parse_space("lp:2"), method="exact")
+    assert calls == ["subset_sums", "extrema_by_popcount"]

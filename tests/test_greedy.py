@@ -424,6 +424,29 @@ def test_profile_memory_is_bounded_by_the_mask_block():
     assert peak < bound, (peak / 2**20, bound / 2**20)
 
 
+@pytest.mark.parametrize("label", ["fpr:0,2,2,1", "bmo:2", "lplq:2,1"])
+def test_exact_sweep_memory_keeps_no_table_of_norms(label):
+    # n = 20: the sweep holds the 2^n residual codes with their popcounts and
+    # the popcount test of one group (6 bytes per mask), two popcount groups,
+    # one MASK_CHUNK block's bit test (uint32 and bool) and a KERNEL_ROWS
+    # slice of the evaluator. A sweep that kept a 2^n float table of the norms
+    # would hold the codes, the table and the bit test at once, past the bound
+    spec = parse_space(label)
+    n = 20
+    seq = attach(spec, np.random.default_rng(n).uniform(0.05, 4.0, n).tolist())
+    atoms = _Context(seq, spec).evaluator._cols.shape[1]  # fills the element-norm cache
+    bound = (6 * 2**n + 8 * math.comb(n, n // 2) + 5 * MASK_CHUNK * n
+             + KERNEL_ROWS * (n + 2 * atoms) * 8)
+    assert bound < 13 * 2**n + 5 * MASK_CHUNK * n
+    tracemalloc.start()
+    try:
+        sigma_profile(seq, spec, method="exact")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound, (peak / 2**20, bound / 2**20)
+
+
 def test_gamma_examples():
     assert gamma_profile(Sequence({1: 1.0}), L2).values[1] == 0.0
     s = Sequence({1: 3.0, 2: 2.0, 3: 1.0})
