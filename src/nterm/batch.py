@@ -23,7 +23,7 @@ then run in log scale through the kernels the scalar path uses,
 spaces.lorentz_rows (closed form per rearranged piece) and
 spaces.luxemburg_rows (safeguarded Newton on ln lam, step tolerance
 1e-12 max(1, |ln lam|)), so lpq and orlicz rows reach any value range the inner
-sums do. fpr and hyp keep their linear outer sums.
+sums do. fpr and hyp keep their linear outer sums, taken as an einsum.
 
 BatchNorm.norms casts and evaluates its mask matrix KERNEL_ROWS rows at a time,
 so the float temporaries of every space (the mask slice, the inner sums and
@@ -31,6 +31,16 @@ their outer transform) are bounded by KERNEL_ROWS x (support + atoms) floats
 however many rows are asked for. The callers that need complements, the greedy
 residuals, sigma_n_exact and greedy._sigma_all, go through these dense masks,
 so their floats do not depend on the kept-index path below.
+
+Every outer transform is row-independent: a row's norm does not depend on the
+other rows it is transformed with. That lets norms take a boolean row selector.
+It still takes the inner sums of each whole KERNEL_ROWS slice at its usual
+offset, so the matmul shapes, and the bits, are those of the unselected call.
+It then runs the outer transform on the selected rows only, and returns their
+norms alone. greedy._sigma_all selects the residuals whose lattice bound can
+still beat the greedy one. No BLAS call may therefore sit in an outer transform.
+A gemv's result moves by an ulp with the number of rows, so the fpr and hyp
+sums over atoms are np.einsum('ij,j->i'), which is computed row by row.
 
 BatchNorm.subset_norms of subsets themselves (complement=False), and so
 subset_extrema and democracy.h_exhaustive, take kept-index rows instead: each
@@ -79,18 +89,32 @@ class BatchNorm:
     of kept-index rows sums its gathered rows of cols. Both then go through
     the same `outer` transform."""
 
-    def __init__(self, cols, inner, outer):
+    def __init__(self, cols, inner, outer, log_outer=False):
         self.n = len(cols)
         self._cols, self._inner, self._outer = cols, inner, outer
+        # the outer transform is a log-scale kernel (lpq, orlicz), which costs
+        # about a microsecond per row against tens of nanoseconds for the others
+        self.log_outer = log_outer
 
-    def norms(self, masks):
+    def norms(self, masks, rows=None):
+        """Norms of the mask rows, or of the rows the boolean selector `rows`
+        (one entry per mask row) picks, in row order. Each KERNEL_ROWS slice
+        that holds a selected row has its inner sums taken whole; only the
+        selected rows go through the outer transform."""
         masks = np.asarray(masks)
         if masks.ndim != 2 or masks.shape[1] != self.n:
             raise ValueError("mask matrix shape mismatch")
-        out = np.empty(len(masks))
+        if rows is not None and np.shape(rows) != (len(masks),):
+            raise ValueError("row selector shape mismatch")
+        out = np.empty(len(masks) if rows is None else np.count_nonzero(rows))
+        done = 0
         for i in range(0, len(masks), KERNEL_ROWS):
-            out[i : i + KERNEL_ROWS] = self._outer(
-                self._inner(masks[i : i + KERNEL_ROWS].astype(float)))
+            keep = slice(None) if rows is None else rows[i : i + KERNEL_ROWS]
+            if rows is not None and not keep.any():
+                continue
+            inner = self._inner(masks[i : i + KERNEL_ROWS].astype(float))[keep]
+            out[done : done + len(inner)] = self._outer(inner)
+            done += len(inner)
         _check_finite(out)
         return out
 
@@ -232,7 +256,7 @@ def batch_evaluator(spec: SpaceSpec, indices, values) -> BatchNorm:
 
         def outer(s):
             s **= pr
-            return (s @ meas) ** (1.0 / spec.p)
+            return np.einsum("ij,j->i", s, meas) ** (1.0 / spec.p)
 
     else:
         def kernel(ln_v):
@@ -248,4 +272,4 @@ def batch_evaluator(spec: SpaceSpec, indices, values) -> BatchNorm:
                 s *= 0.5
                 return np.exp(kernel(s))
 
-    return BatchNorm(im.T, lambda masks: masks @ im.T, outer)
+    return BatchNorm(im.T, lambda masks: masks @ im.T, outer, spec.tag in ("lpq", "orlicz"))

@@ -50,7 +50,7 @@ from itertools import chain, combinations
 import numpy as np
 
 from . import _kernels
-from .batch import MASK_CHUNK, batch_evaluator
+from .batch import KERNEL_ROWS, MASK_CHUNK, batch_evaluator
 from .errors import FeasibilityError, ParseError, finite
 from .lorentz import weighted_lq
 from .sequences import Sequence, rearrange
@@ -65,6 +65,14 @@ PICK_FLOATS = 1 << 16
 # tie classes of at most this many positions take their listed steps' rows
 # from the 2^t residual codes
 CODE_BITS = 16
+# relative margin of the exact sweep's lattice pruning (_sigma_all): a row is
+# skipped only when its lower bound exceeds the greedy residual's norm by more
+PRUNE_MARGIN = 1e-6
+# the sweep prunes popcount groups of more rows than this when the outer
+# transform is a log-scale kernel (KERNEL_ROWS otherwise): the bound bookkeeping
+# and the one norms call on the greedy residuals cost about as much as the
+# L^{p,q} kernel on a hundred rows
+PRUNE_LOG_ROWS = 100
 
 
 class _Context:
@@ -193,14 +201,13 @@ def _floyd_picks(rng, t, m, rows):
     return member
 
 
-def _residual_groups(t):
-    """The t-bit residual codes (position j at bit t-1-j) of the m-subsets of
-    t positions, one group per m = 0..t, made one at a time: the codes of
-    popcount t - m in ascending order, which is the combination order of the
-    kept sets."""
+def _residual_groups(t, sizes):
+    """The t-bit residual codes (position j at bit t-1-j) of the residuals of
+    each size k in `sizes`, one group at a time: the codes of popcount k in
+    ascending order, which is the combination order of the kept (t-k)-sets."""
     codes = np.arange(1 << t, dtype=np.uint32)
     popcount = np.bitwise_count(codes)
-    for k in range(t, -1, -1):
+    for k in sizes:
         yield codes[popcount == k]
 
 
@@ -224,7 +231,7 @@ def _step_masks(ctx, N, groups):
     if t > CODE_BITS:
         return ctx.evaluator.subset_masks(ctx.greedy_kept(N), complement=True), True
     if t not in groups:
-        groups[t] = list(_residual_groups(t))
+        groups[t] = list(_residual_groups(t, range(t, -1, -1)))
     codes = groups[t][m]
     masks = np.repeat((np.arange(ctx.n) >= b)[None], len(codes), axis=0)
     masks[:, a:b] = (codes[:, None] & _code_bits(t)) != 0
@@ -287,16 +294,53 @@ class Profile:
         return [(N, self.values[N], self.flags[N]) for N in range(len(self.values))]
 
 
+def _code_masks(codes, bits):
+    """Boolean residual masks of the codes, built one KERNEL_ROWS slice at a
+    time, so the (rows x n) uint32 bit test is never held for a whole block."""
+    masks = np.empty((len(codes), len(bits)), dtype=bool)
+    for s in range(0, len(codes), KERNEL_ROWS):
+        masks[s : s + KERNEL_ROWS] = codes[s : s + KERNEL_ROWS, None] & bits  # nonzero
+    return masks
+
+
+def _group_norms(ev, codes, keep, bits):
+    """Norms of the residual masks of one popcount group's codes, or of the
+    rows the boolean `keep` selects, in MASK_CHUNK blocks. Only the KERNEL_ROWS
+    slices that hold a selected row are built; they are whole slices of the
+    group but its last, so every row keeps its offset in the unpruned blocks."""
+    if keep is not None and len(codes) > KERNEL_ROWS:
+        held = np.logical_or.reduceat(keep, np.arange(0, len(codes), KERNEL_ROWS))
+        held = np.repeat(held, KERNEL_ROWS)[: len(codes)]
+        codes, keep = codes[held], keep[held]
+    out = [ev.norms(_code_masks(codes[s : s + MASK_CHUNK], bits),
+                    None if keep is None else keep[s : s + MASK_CHUNK])
+           for s in range(0, len(codes), MASK_CHUNK)]
+    return out[0] if len(out) == 1 else np.concatenate(out)
+
+
 def _sigma_all(ctx):
     """sigma_0 .. sigma_{n-1}: the least residual norm of each kept-set size.
 
     l^p reads the residuals' p-th power sums off the subset-sum table and
-    takes the least per popcount. Other spaces keep no table: they evaluate
-    each popcount group of `_residual_groups` in slices of MASK_CHUNK and take
-    each slice's minimum. The codes follow the kept sets in combination order,
-    so each slice is a block of sigma_n_exact's scan and the norms agree
-    bitwise (a block that mixes popcounts moves rows, which can move a matmul
-    result by an ulp)."""
+    takes the least per popcount. Other spaces keep no table: they walk the
+    popcount groups of `_residual_groups` from residuals of size 1 up to n,
+    each in MASK_CHUNK blocks of its ascending codes. The codes follow the kept
+    sets in combination order, so each block is a block of sigma_n_exact's scan
+    and an evaluated row agrees with the scan bitwise (a block that mixed
+    popcounts would move rows, which can move a matmul result by an ulp).
+
+    Every catalog norm is a lattice norm: a residual's norm is at least that
+    of any sub-residual. A group of more than PRUNE_LOG_ROWS rows (KERNEL_ROWS
+    where the outer transform is linear) is pruned with that bound; smaller
+    ones are evaluated whole, since there the bookkeeping costs more than it
+    saves. Each residual takes the bound of itself without its smallest
+    magnitude (its lowest set bit) in the previous group, where an evaluated
+    row's bound is its norm. Only the rows whose bound is at most
+    U_k (1 + PRUNE_MARGIN) are evaluated, U_k the norm of the greedy residual
+    of size k (the k smallest magnitudes), which bounds the group's least norm
+    from above; the margin covers matmul ulps and the Orlicz Newton stop.
+    BatchNorm.norms runs the outer transform on the selected rows of whole
+    KERNEL_ROWS slices, so the least norm is bitwise the unpruned sweep's."""
     n = ctx.n
     if ctx.spec.tag == "lp":
         sums = _kernels.subset_sums(ctx.mags**ctx.spec.p)
@@ -306,10 +350,21 @@ def _sigma_all(ctx):
         # reference
         return (mins ** (1.0 / ctx.spec.p))[:n]
     ev, bits = ctx.evaluator, _code_bits(n)
-    # kept-set sizes 0..n-1; zip stops before the empty residual's group
-    return np.array([min(ev.norms((cls[s : s + MASK_CHUNK, None] & bits) != 0).min()
-                         for s in range(0, len(cls), MASK_CHUNK))
-                     for _, cls in zip(range(n), _residual_groups(n))])
+    sigma, top = np.empty(n), None
+    codes, bound = np.zeros(1, dtype=np.uint32), np.zeros(1)  # the empty residual
+    for k, group in enumerate(_residual_groups(n, range(1, n + 1)), 1):
+        if len(group) > (PRUNE_LOG_ROWS if ev.log_outer else KERNEL_ROWS):
+            if top is None:  # the greedy residuals of sizes 1..n
+                stair = np.arange(n) >= n - np.arange(1, n + 1)[:, None]
+                top = ev.norms(stair) * (1 + PRUNE_MARGIN)
+            bound = bound[np.searchsorted(codes, group & (group - 1))]
+            keep = bound <= top[k - 1]
+            vals = _group_norms(ev, group, keep, bits)
+            bound[keep] = vals
+        else:
+            bound = vals = _group_norms(ev, group, None, bits)
+        codes, sigma[n - k] = group, vals.min()
+    return sigma
 
 
 def _check_method(method):

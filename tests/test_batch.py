@@ -130,6 +130,38 @@ def test_batch_empty_subset_is_zero(any_space, rng):
     assert ev.norms(np.zeros((1, 4)))[0] == 0.0
 
 
+def test_batch_norms_are_lattice_monotone(any_space, rng):
+    # every catalog norm is a lattice norm: ||x 1_R|| <= ||x 1_S|| for R in S.
+    # The exact sigma sweep prunes on this, so the batch layer must keep it to
+    # rounding on random nested rows over a random support
+    spec = any_space
+    n = 12
+    ev = batch_evaluator(spec, canonical_indices(spec, n), rng.uniform(0.05, 4.0, n))
+    big = rng.random((600, n)) < rng.uniform(0.2, 1.0, (600, 1))
+    small = big & (rng.random((600, n)) < rng.uniform(0.0, 1.0, (600, 1)))
+    norms = ev.norms(np.concatenate((small, big)))
+    assert np.all(norms[:600] <= norms[600:] * (1 + 1e-12))
+
+
+def test_norms_selector_matches_the_full_rows_bitwise(any_space, rng):
+    # every outer transform is row-independent, so the selected rows of each
+    # KERNEL_ROWS slice come out bitwise as in the unselected call. A BLAS
+    # outer (a gemv moves a row by an ulp with the rows around it) fails here
+    spec = any_space
+    n = 11
+    ev = batch_evaluator(spec, canonical_indices(spec, n), rng.uniform(0.05, 4.0, n))
+    masks = rng.random((KERNEL_ROWS + 700, n)) < 0.5
+    full = ev.norms(masks)
+    for density in (0.002, 0.01, 0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95, 0.99):
+        keep = rng.random(len(masks)) < density
+        assert np.array_equal(ev.norms(masks, keep), full[keep]), density
+    keep = np.zeros(len(masks), dtype=bool)
+    keep[KERNEL_ROWS + 5] = True  # a slice with no selected row is skipped
+    assert np.array_equal(ev.norms(masks, keep), full[keep])
+    with pytest.raises(ValueError, match="selector"):
+        ev.norms(masks, keep[:-1])
+
+
 @pytest.mark.parametrize("N", [2, 3])
 def test_exhaustive_scan_matches_scalar_democracy(any_space, N):
     spec = any_space

@@ -569,6 +569,51 @@ def test_sweep_bit_order_matches_scan(label, n):
     assert prof.values.tolist() == [sigma_n_exact(seq, N, spec) for N in range(n)] + [0.0]
 
 
+def _sweep_inputs(spec, n, kind):
+    rng = np.random.default_rng(n)
+    if kind == "spread":
+        vals = rng.permutation(np.exp(np.linspace(-2, 2, n)))
+    elif kind == "uniform":
+        vals = rng.uniform(0.05, 4.0, n)
+    else:  # all-equal magnitudes, where the lattice bound prunes least
+        vals = np.ones(n)
+    return attach(spec, vals.tolist())
+
+
+@pytest.mark.parametrize("kind", ["spread", "uniform", "equal"])
+@pytest.mark.parametrize("label", ["lpq:2,4", "orlicz:ulogu", "bmo:2", "hyp:4,2", "lplq:1,2"])
+def test_pruned_sweep_matches_scan(label, kind):
+    # n = 16: the middle popcount groups span up to four KERNEL_ROWS slices, so
+    # the pruned sweep skips whole slices and selects rows inside the others;
+    # its least norms must still be bitwise those of the unpruned per-N scan
+    spec = parse_space(label)
+    n = 16
+    assert math.comb(n, n // 2) > 3 * KERNEL_ROWS
+    seq = _sweep_inputs(spec, n, kind)
+    prof = sigma_profile(seq, spec, method="exact")
+    assert prof.values.tolist() == [sigma_n_exact(seq, N, spec) for N in range(n)] + [0.0]
+
+
+def test_pruned_sweep_runs_the_outer_kernel_on_few_rows():
+    # lpq:2,4 on spread magnitudes at n = 18: the lattice bound leaves the
+    # outer kernel fewer than 1% of the 2^18 residuals (the greedy residuals
+    # that set the thresholds included)
+    spec = parse_space("lpq:2,4")
+    n = 18
+    ctx = _Context(_sweep_inputs(spec, n, "spread"), spec)
+    ev = ctx.evaluator
+    rows, outer = [], ev._outer
+
+    def counted(inner):
+        rows.append(len(inner))
+        return outer(inner)
+
+    ev._outer = counted
+    sigma = greedy._sigma_all(ctx)
+    assert 0 < sum(rows) < 0.01 * 2**n, sum(rows)
+    assert np.all(np.diff(sigma) <= 0) and sigma[-1] > 0
+
+
 @pytest.mark.parametrize("label", ["lp:2", "lplq:2,1"])
 def test_sigma_profile_feasibility_rule(monkeypatch, rng, label):
     # exact refuses when some C(n, N) exceeds the cap; auto sweeps while
